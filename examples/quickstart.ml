@@ -8,7 +8,8 @@ open Mcmap
 let () =
   (* 1. Architecture: two processors on a shared bus. *)
   let arch =
-    Model.Arch.make ~bus_bandwidth:2 ~bus_latency:1
+    Model.Arch.make
+      ~interconnect:(Model.Interconnect.Bus { bandwidth = 2; latency = 1 })
       [| Model.Proc.make ~id:0 ~name:"cpu0" ~fault_rate:1e-5 ();
          Model.Proc.make ~id:1 ~name:"cpu1" ~fault_rate:1e-5 () |] in
 

@@ -50,6 +50,7 @@ end
 
 module Model = struct
   module Proc = Mcmap_model.Proc
+  module Interconnect = Mcmap_model.Interconnect
   module Arch = Mcmap_model.Arch
   module Criticality = Mcmap_model.Criticality
   module Task = Mcmap_model.Task

@@ -58,6 +58,7 @@ end
 
 module Model : sig
   module Proc = Mcmap_model.Proc
+  module Interconnect = Mcmap_model.Interconnect
   module Arch = Mcmap_model.Arch
   module Criticality = Mcmap_model.Criticality
   module Task = Mcmap_model.Task

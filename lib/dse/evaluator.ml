@@ -114,16 +114,12 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
 (* Cross-domain sharing audit (the discipline [mcmap serve] and
    [eval_population] rely on):
 
-   - Every LRU tier ([results], [sched], [components], [rows],
-     [rates]), the per-entry [ce_external] tables, the stat counters
-     and [last_ok] are mutated only under [lock] — including the
-     hit-counter bumps, which share the critical section of the lookup
-     that observed the hit (a bump outside it loses updates when
-     domains race).
-   - Cached values ([Evaluate.t], [centry], hardened graphs, rates)
-     are immutable once published, so a value evicted while another
-     domain still holds it stays valid — eviction only drops the
-     cache's reference.
+   - The three LRU tiers ([results], [components], [rows]), the
+     per-entry [ce_external] tables and [last_ok] are mutated only
+     under [lock], which is held for the lookup or insert alone.
+   - Cached values ([Evaluate.t], [centry], [row]) are immutable once
+     published, so a value evicted while another domain still holds
+     it stays valid — eviction only drops the cache's reference.
    - The analysis contexts inside [centry] are shared across domains
      without the lock, which is safe for both engines: [Bounds.ctx]
      is read-only during [analyze] (scratch is allocated per call) and
@@ -164,6 +160,13 @@ type sched_info = {
   ok : bool;  (* every required verdict meets its deadline *)
 }
 
+(* One decision row's plan-dependent images: its hardened graph and,
+   when the graph has a reliability bound, its failure rate. *)
+type row = {
+  hgraph : Happ.hgraph;
+  rate : float option;  (* [Some] exactly when [rel_bounds.(gi)] is *)
+}
+
 (* One trigger scenario's result over a component's graphs. *)
 type outcome = {
   o_diverged : bool;
@@ -190,17 +193,6 @@ type centry = {
   ce_external : (int * int, outcome) Hashtbl.t;
 }
 
-type stats = {
-  hits : int;
-  misses : int;
-  sched_hits : int;
-  sched_misses : int;
-  component_hits : int;
-  component_misses : int;
-  external_scenarios : int;
-  evictions : int;
-}
-
 type t = {
   arch : Arch.t;
   apps : Appset.t;
@@ -225,17 +217,8 @@ type t = {
          spans. One population at a time is the discipline [mcmap
          serve] relies on (its pool keeps one lock per session). *)
   results : (Fingerprint.t, Evaluate.t) Lru.t;
-  sched : (Fingerprint.t, sched_info) Lru.t;
   components : (Fingerprint.t, centry) Lru.t;
-  rows : (Fingerprint.t, Happ.hgraph) Lru.t;
-  rates : (Fingerprint.t, float) Lru.t;
-  mutable n_hits : int;
-  mutable n_misses : int;
-  mutable n_sched_hits : int;
-  mutable n_sched_misses : int;
-  mutable n_component_hits : int;
-  mutable n_component_misses : int;
-  mutable n_external : int;
+  rows : (Fingerprint.t, row) Lru.t;
   mutable last_ok : bool option;
       (* previous eval's schedulable bit, for verdict-flip events *)
 }
@@ -250,8 +233,12 @@ let with_lock t f =
     Mutex.unlock t.lock;
     raise e
 
-let create ?(cache_capacity = 4096) ?(component_capacity = 64)
-    ?(domains = 1) ?(engine = Flat) ?(check_rescue = true)
+(* Component entries hold restricted job sets and analysis contexts, so
+   their tier stays small whatever the result capacity. *)
+let component_capacity = 64
+
+let create ?(cache_capacity = 4096) ?(domains = 1) ?(engine = Flat)
+    ?(check_rescue = true)
     ?(max_iterations = Bounds.default_max_iterations) arch apps =
   if domains < 1 then invalid_arg "Evaluator.create: domains < 1";
   if cache_capacity < 0 then
@@ -287,12 +274,8 @@ let create ?(cache_capacity = 4096) ?(component_capacity = 64)
     rel_bounds; base; horizon; lock = Mutex.create ();
     population_lock = Mutex.create ();
     results = Lru.create ~capacity:cache_capacity ();
-    sched = Lru.create ~capacity:cache_capacity ();
     components = Lru.create ~capacity:component_capacity ();
     rows = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
-    rates = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
-    n_hits = 0; n_misses = 0; n_sched_hits = 0; n_sched_misses = 0;
-    n_component_hits = 0; n_component_misses = 0; n_external = 0;
     last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
@@ -333,52 +316,47 @@ let arch t = t.arch
 let apps t = t.apps
 
 (* ------------------------------------------------------------------ *)
-(* Hardened-graph and reliability caches (keyed per decision row).     *)
+(* Row cache: hardened graph + reliability rate per decision row.      *)
 
-let hgraph_for t plan gi =
+let row_for t plan gi =
   let key = Fingerprint.combine t.salt (row_fingerprint plan gi) in
   match with_lock t (fun () -> Lru.find t.rows key) with
-  | Some hg ->
+  | Some row ->
     tier_hit "evaluator.rows";
-    hg
+    row
   | None ->
     tier_miss "evaluator.rows";
-    let hg = Happ.hardened_graph t.arch t.apps plan gi in
-    with_lock t (fun () -> tier_add "evaluator.rows" t.rows key hg);
-    hg
+    let row =
+      { hgraph = Happ.hardened_graph t.arch t.apps plan gi;
+        rate =
+          Option.map
+            (fun _ ->
+              Reliability.graph_failure_rate t.arch t.apps plan ~graph:gi)
+            t.rel_bounds.(gi) } in
+    with_lock t (fun () -> tier_add "evaluator.rows" t.rows key row);
+    row
 
-let happ_of t plan =
+let rows_of t plan =
   (* Validate before touching per-row constructors, with the same error
      as the fresh [Happ.build] path. *)
   (match Plan.errors t.arch t.apps plan with
    | [] -> ()
    | msg :: _ -> invalid_arg ("Happ.build: " ^ msg));
-  let graphs = Array.init t.n_graphs (fun gi -> hgraph_for t plan gi) in
-  Happ.assemble t.arch t.apps plan graphs
+  Array.init t.n_graphs (fun gi -> row_for t plan gi)
 
-let rate_of t plan gi =
-  let key = Fingerprint.combine t.salt (row_fingerprint plan gi) in
-  match with_lock t (fun () -> Lru.find t.rates key) with
-  | Some r ->
-    tier_hit "evaluator.rates";
-    r
-  | None ->
-    tier_miss "evaluator.rates";
-    let r = Reliability.graph_failure_rate t.arch t.apps plan ~graph:gi in
-    with_lock t (fun () -> tier_add "evaluator.rates" t.rates key r);
-    r
+let happ_of t plan rows =
+  Happ.assemble t.arch t.apps plan (Array.map (fun r -> r.hgraph) rows)
 
 (* Same iteration order and float comparisons as
    [Reliability.violations]; the cached rate is the identical double. *)
-let violations_of t plan =
+let violations_of t rows =
   let acc = ref [] in
   for gi = t.n_graphs - 1 downto 0 do
-    match t.rel_bounds.(gi) with
-    | None -> ()
-    | Some bound ->
-      let failure_rate = rate_of t plan gi in
+    match t.rel_bounds.(gi), rows.(gi).rate with
+    | Some bound, Some failure_rate ->
       if failure_rate > bound then
         acc := { Reliability.graph = gi; failure_rate; bound } :: !acc
+    | _ -> ()
   done;
   !acc
 
@@ -490,12 +468,7 @@ let per_graph_outcome response res =
 let centry_for t js graphs =
   let rjs = Jobset.restrict js ~graphs in
   let key = structure_fp rjs in
-  match
-    with_lock t (fun () ->
-        let found = Lru.find t.components key in
-        if found <> None then t.n_component_hits <- t.n_component_hits + 1;
-        found)
-  with
+  match with_lock t (fun () -> Lru.find t.components key) with
   | Some entry ->
     tier_event "evaluator.component" Flight.Cache_hit "memo";
     entry
@@ -531,7 +504,6 @@ let centry_for t js graphs =
         ce_summaries = summaries; ce_internal = internal;
         ce_external = Hashtbl.create 16 } in
     with_lock t (fun () ->
-        t.n_component_misses <- t.n_component_misses + 1;
         tier_add "evaluator.component" t.components key entry);
     entry
 
@@ -554,7 +526,6 @@ let external_outcome t entry (ms, mf) =
     let o = per_graph_outcome entry.ce_response res in
     if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
     with_lock t (fun () ->
-        t.n_external <- t.n_external + 1;
         if not (Hashtbl.mem entry.ce_external (ms, mf)) then
           Hashtbl.add entry.ce_external (ms, mf) o);
     o
@@ -625,33 +596,18 @@ let compute_sched t (happ : Happ.t) =
     { required; ok = !ok }
   end
 
-let sched_of t fp (happ : Happ.t Lazy.t) =
-  match
-    with_lock t (fun () ->
-        let found = Lru.find t.sched fp in
-        if found <> None then t.n_sched_hits <- t.n_sched_hits + 1;
-        found)
-  with
-  | Some info ->
-    tier_hit "evaluator.sched";
-    info
-  | None ->
-    tier_miss "evaluator.sched";
-    let info = compute_sched t (Lazy.force happ) in
-    with_lock t (fun () ->
-        t.n_sched_misses <- t.n_sched_misses + 1;
-        tier_add "evaluator.sched" t.sched fp info);
-    info
-
 (* ------------------------------------------------------------------ *)
 (* Evaluation.                                                         *)
 
-let power t plan = Evaluate.power_of_happ t.arch (happ_of t plan)
+let happ_of_plan t plan = happ_of t plan (rows_of t plan)
 
-let eval_fresh t fp plan =
-  let happ = happ_of t plan in
-  let sinfo = sched_of t fp (lazy happ) in
-  let reliability_violations = violations_of t plan in
+let power t plan = Evaluate.power_of_happ t.arch (happ_of_plan t plan)
+
+let eval_fresh t plan =
+  let rows = rows_of t plan in
+  let happ = happ_of t plan rows in
+  let sinfo = compute_sched t happ in
+  let reliability_violations = violations_of t rows in
   let reliable = reliability_violations = [] in
   let power = Evaluate.power_of_happ t.arch happ in
   let service = Evaluate.service_of_plan t.apps plan in
@@ -668,9 +624,9 @@ let eval_fresh t fp plan =
         Plan.make t.apps
           ~decisions:(Array.map Array.copy plan.Plan.decisions)
           ~dropped:(Array.make t.n_graphs false) in
-      let ninfo =
-        sched_of t (fingerprint no_drop) (lazy (happ_of t no_drop)) in
-      not ninfo.ok
+      (* [no_drop] shares every row with [plan], and every component
+         entry whose jobs the drop set leaves unchanged. *)
+      not (compute_sched t (happ_of_plan t no_drop)).ok
     end in
   { Evaluate.plan; power; service; schedulable = sinfo.ok; reliable;
     violation; rescued; objectives = [| power; -.service |] }
@@ -678,9 +634,7 @@ let eval_fresh t fp plan =
 let find_cached t fp plan =
   with_lock t (fun () ->
       match Lru.find t.results fp with
-      | Some e when canonical_equal e.Evaluate.plan plan ->
-        t.n_hits <- t.n_hits + 1;
-        Some e
+      | Some e when canonical_equal e.Evaluate.plan plan -> Some e
       | Some _ ->
         (* fingerprint collision: treat as a miss *)
         tier_event "evaluator.result" Flight.Cache_collision "collision";
@@ -696,11 +650,9 @@ let eval t plan =
         { e with Evaluate.plan }
       | None ->
         tier_miss "evaluator.result";
-        let e = eval_fresh t fp plan in
+        let e = eval_fresh t plan in
         note_verdict t e.Evaluate.schedulable;
-        with_lock t (fun () ->
-            t.n_misses <- t.n_misses + 1;
-            tier_add "evaluator.result" t.results fp e);
+        with_lock t (fun () -> tier_add "evaluator.result" t.results fp e);
         e)
 
 let eval_population t plans =
@@ -761,27 +713,3 @@ let eval_population t plans =
           | Some e ->
             if rep.(i) = i then e else { e with Evaluate.plan = plans.(i) }
           | None -> assert false))
-
-let stats t =
-  with_lock t (fun () ->
-      { hits = t.n_hits; misses = t.n_misses; sched_hits = t.n_sched_hits;
-        sched_misses = t.n_sched_misses;
-        component_hits = t.n_component_hits;
-        component_misses = t.n_component_misses;
-        external_scenarios = t.n_external;
-        evictions =
-          Lru.evictions t.results + Lru.evictions t.sched
-          + Lru.evictions t.components + Lru.evictions t.rows
-          + Lru.evictions t.rates })
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>evaluator: %d hits / %d misses (%.1f%% hit rate)@,\
-     sched: %d hits / %d misses; components: %d hits / %d misses@,\
-     external scenarios: %d; evictions: %d@]"
-    s.hits s.misses
-    (100.
-     *. float_of_int s.hits
-     /. float_of_int (max 1 (s.hits + s.misses)))
-    s.sched_hits s.sched_misses s.component_hits s.component_misses
-    s.external_scenarios s.evictions

@@ -3,17 +3,18 @@
 
     A session [create arch apps] precomputes everything plan-independent
     — deadlines, reliability bounds, the application hyperperiod and the
-    analysis horizon — and memoises everything plan-dependent behind
-    canonical 128-bit fingerprints:
+    analysis horizon — and memoises everything plan-dependent in three
+    LRU tiers:
 
-    - a bounded LRU of full evaluation results keyed by the plan
-      fingerprint (crossover/mutation duplicates and GA re-elites are
-      near-free), guarded by structural plan equality against collisions;
-    - hardened graphs and reliability rates keyed per decision row, so a
-      mutation touching one graph rebuilds only that graph's image;
-    - Algorithm 1 analyses decomposed by processor-connected components
-      and keyed by the restricted job structure, so a mutation touching
-      one component only re-solves the components whose job multisets
+    - results: full evaluations keyed by the canonical plan fingerprint
+      (crossover/mutation duplicates, GA re-elites and warm [serve]
+      repeats are near-free), guarded by structural plan equality
+      against collisions;
+    - rows: each decision row's hardened graph and reliability rate,
+      so a mutation touching one graph rebuilds only that graph's image;
+    - components: Algorithm 1 analyses decomposed by processor-connected
+      components and keyed by the restricted job structure, so a
+      mutation only re-solves the components whose job multisets
       changed; triggers in other components are summarised by their
       (min_start, max_finish) pair and the matching scenarios are
       memoised per component.
@@ -21,7 +22,15 @@
     Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
     for field, bit for bit on floats — which the [evaluator-agreement]
     check oracle enforces; determinism of {!eval_population} for any
-    domain count follows. *)
+    domain count follows.
+
+    When {!Mcmap_obs.Obs} is enabled the session reports its cache
+    decisions as labelled counters —
+    [evaluator.result~{hit,miss,evict,collision}],
+    [evaluator.rows~{hit,miss,evict}] and
+    [evaluator.component~{memo,resolve,evict}] — plus
+    [evaluator.external_scenarios] (external-trigger fixpoints solved)
+    and the spans [evaluator.eval] and [evaluator.eval_population]. *)
 
 type t
 
@@ -37,7 +46,6 @@ type engine =
 
 val create :
   ?cache_capacity:int ->
-  ?component_capacity:int ->
   ?domains:int ->
   ?engine:engine ->
   ?check_rescue:bool ->
@@ -45,16 +53,15 @@ val create :
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   t
-(** [cache_capacity] (default 4096) bounds the result and scheduling
-    LRUs; 0 disables caching (every call analyses afresh — useful for
-    measuring). [component_capacity] (default 64) bounds the
-    per-component analysis cache, whose entries hold job sets and
-    precedence matrices and are therefore larger. [domains] (default 1)
-    parallelises {!eval_population}. [engine] (default {!Flat}) selects
-    the fixed-point implementation. [check_rescue] and [max_iterations]
-    are the session-wide analysis options previously restated at every
-    [Evaluate.evaluate] call site; [max_iterations] defaults to
-    {!Mcmap_sched.Bounds.default_max_iterations}.
+(** [cache_capacity] (default 4096) bounds the result tier, and the row
+    tier at [4 * (cache_capacity + 1)] entries; 0 disables result
+    caching (every call analyses afresh — useful for measuring). The
+    component tier holds a fixed 64 entries, since each holds a job set
+    and its analysis context. [domains] (default 1) parallelises
+    {!eval_population}. [engine] (default {!Flat}) selects the
+    fixed-point implementation. [check_rescue] and [max_iterations] are
+    the analysis options of [Evaluate.evaluate]; [max_iterations]
+    defaults to {!Mcmap_sched.Bounds.default_max_iterations}.
     @raise Invalid_argument if [domains < 1] or [cache_capacity < 0]. *)
 
 val arch : t -> Mcmap_model.Arch.t
@@ -103,26 +110,3 @@ val canonical_equal : Mcmap_hardening.Plan.t -> Mcmap_hardening.Plan.t -> bool
 (** Structural equality modulo canonically-ignored coordinates: the
     equivalence whose classes {!fingerprint} keys, used as the collision
     guard on every result-cache hit. *)
-
-type stats = {
-  hits : int;  (** result-cache hits (incl. population dedup hits) *)
-  misses : int;  (** full fresh evaluations *)
-  sched_hits : int;  (** scheduling-info cache hits *)
-  sched_misses : int;
-  component_hits : int;  (** per-component analysis reuses *)
-  component_misses : int;
-  external_scenarios : int;
-      (** external-trigger scenarios solved (each shared by all equal
-          trigger summaries) *)
-  evictions : int;  (** total LRU evictions over all session caches *)
-}
-
-val stats : t -> stats
-(** Counters since [create]. The same events are mirrored to
-    {!Mcmap_obs.Obs} counters ([evaluator.hits], [evaluator.misses],
-    [evaluator.sched_hits], [evaluator.sched_misses],
-    [evaluator.component_hits], [evaluator.component_misses],
-    [evaluator.external_scenarios]) and spans ([evaluator.eval],
-    [evaluator.eval_population]) when the recorder is enabled. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -5,18 +5,7 @@ type t = {
   bandwidth : int;
 }
 
-let make ?bus_bandwidth ?bus_latency ?interconnect procs =
-  let interconnect =
-    match interconnect with
-    | Some ic ->
-      if bus_bandwidth <> None || bus_latency <> None then
-        invalid_arg
-          "Arch.make: ~interconnect excludes ?bus_bandwidth/?bus_latency";
-      ic
-    | None ->
-      Interconnect.Bus
-        { bandwidth = Option.value bus_bandwidth ~default:1;
-          latency = Option.value bus_latency ~default:0 } in
+let make ?(interconnect = Interconnect.default) procs =
   if Array.length procs = 0 then invalid_arg "Arch.make: no processors";
   (match interconnect with
    | Interconnect.Bus { bandwidth; latency } ->

@@ -17,6 +17,7 @@ module Explore = Mcmap_dse.Explore
 module Evaluator = Mcmap_dse.Evaluator
 module Reliability = Mcmap_reliability.Analysis
 module Prng = Mcmap_util.Prng
+module Obs = Mcmap_obs.Obs
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -434,6 +435,24 @@ let test_evaluator_fingerprint_canonical () =
   check Alcotest.bool "rebinding breaks canonical equality" false
     (Evaluator.canonical_equal plan rebound)
 
+(* The session's cache decisions are reported only through Obs
+   counters; read one with the recorder enabled around [f]. *)
+let with_evaluator_counters f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      f ();
+      let metrics = (Obs.snapshot ()).Obs.metrics in
+      fun name ->
+        match List.assoc_opt name metrics with
+        | Some (Obs.Counter n) -> n
+        | Some _ -> Alcotest.failf "%s is not a counter" name
+        | None -> 0)
+
 let test_evaluator_matches_fresh () =
   let sys = Test_gen.random_system 32 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
@@ -441,19 +460,45 @@ let test_evaluator_matches_fresh () =
      must not depend on hit rate. *)
   let session = Evaluator.create ~cache_capacity:2 arch apps in
   let plans = sample_plans arch apps 6 in
-  Array.iter
-    (fun plan ->
-      let fresh = Evaluate.evaluate arch apps plan in
-      check_evaluation_equal "session = fresh"
-        (Evaluator.eval session plan) fresh;
-      check_evaluation_equal "session replay = fresh"
-        (Evaluator.eval session plan) fresh)
-    plans;
-  let stats = Evaluator.stats session in
+  let counter =
+    with_evaluator_counters (fun () ->
+        Array.iter
+          (fun plan ->
+            let fresh = Evaluate.evaluate arch apps plan in
+            check_evaluation_equal "session = fresh"
+              (Evaluator.eval session plan) fresh;
+            check_evaluation_equal "session replay = fresh"
+              (Evaluator.eval session plan) fresh)
+          plans) in
   check Alcotest.bool "replays hit the result cache" true
-    (stats.Evaluator.hits >= 1);
+    (counter "evaluator.result~hit" >= 1);
   check Alcotest.bool "tiny cache evicts" true
-    (stats.Evaluator.evictions >= 1)
+    (counter "evaluator.result~evict" >= 1)
+
+(* A rescued plan is schedulable only because it drops graphs, so its
+   fresh evaluation re-analyses its no-drop twin. Walk plan, twin,
+   plan through a caching and a non-caching session: the re-check must
+   agree with the fresh reference whichever tier serves it. *)
+let test_evaluator_rescue_path () =
+  let bench = Mcmap_benchmarks.Synth.synth1 () in
+  let arch = bench.Mcmap_benchmarks.Benchmark.arch
+  and apps = bench.Mcmap_benchmarks.Benchmark.apps in
+  let plan = Mcmap_benchmarks.Sampler.plan ~seed:13 arch apps in
+  let twin =
+    Plan.make apps
+      ~decisions:(Array.map Array.copy plan.Plan.decisions)
+      ~dropped:(Array.make (Appset.n_graphs apps) false) in
+  check Alcotest.bool "fresh evaluation rescues the plan" true
+    (Evaluate.evaluate arch apps plan).Evaluate.rescued;
+  List.iter
+    (fun (name, session) ->
+      List.iter
+        (fun p ->
+          check_evaluation_equal (name ^ ": session = fresh")
+            (Evaluator.eval session p) (Evaluate.evaluate arch apps p))
+        [ plan; twin; plan ])
+    [ ("default", Evaluator.create arch apps);
+      ("uncached", Evaluator.create ~cache_capacity:0 arch apps) ]
 
 let test_evaluator_power_matches () =
   let sys = Test_gen.random_system 33 in
@@ -534,6 +579,8 @@ let suite =
       test_evaluator_fingerprint_canonical;
     Alcotest.test_case "evaluator: matches fresh evaluation" `Quick
       test_evaluator_matches_fresh;
+    Alcotest.test_case "evaluator: rescue re-check matches fresh" `Quick
+      test_evaluator_rescue_path;
     Alcotest.test_case "evaluator: power shim" `Quick
       test_evaluator_power_matches;
     Alcotest.test_case "evaluator: population determinism" `Quick

@@ -2,6 +2,7 @@
 
 module Proc = Mcmap_model.Proc
 module Arch = Mcmap_model.Arch
+module Interconnect = Mcmap_model.Interconnect
 module Criticality = Mcmap_model.Criticality
 module Task = Mcmap_model.Task
 module Channel = Mcmap_model.Channel
@@ -63,7 +64,9 @@ let test_proc_fault_probability () =
 (* ------------------------------------------------------------------ *)
 (* Arch *)
 
-let quad () = Arch.make ~bus_bandwidth:2 ~bus_latency:1
+let quad () =
+  Arch.make
+    ~interconnect:(Interconnect.Bus { bandwidth = 2; latency = 1 })
     (Array.init 4 (fun i -> proc i))
 
 let test_arch_validation () =
@@ -74,7 +77,10 @@ let test_arch_validation () =
     (fun () -> ignore (Arch.make [| proc 1 |]));
   Alcotest.check_raises "bad bandwidth"
     (Invalid_argument "Arch.make: bandwidth must be > 0") (fun () ->
-      ignore (Arch.make ~bus_bandwidth:0 [| proc 0 |]))
+      ignore
+        (Arch.make
+           ~interconnect:(Interconnect.Bus { bandwidth = 0; latency = 0 })
+           [| proc 0 |]))
 
 let test_arch_comm_delay () =
   let a = quad () in
@@ -97,8 +103,6 @@ let test_arch_accessors () =
 
 (* ------------------------------------------------------------------ *)
 (* Interconnect *)
-
-module Interconnect = Mcmap_model.Interconnect
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -132,14 +136,6 @@ let test_noc_validation () =
         (Arch.make
            ~interconnect:(mesh ~cols:2 ~rows:1 ())
            (Array.init 4 (fun i -> proc i))));
-  Alcotest.check_raises "mixing parameter styles"
-    (Invalid_argument
-       "Arch.make: ~interconnect excludes ?bus_bandwidth/?bus_latency")
-    (fun () ->
-      ignore
-        (Arch.make ~bus_bandwidth:2
-           ~interconnect:(mesh ~cols:2 ~rows:2 ())
-           [| proc 0 |]));
   Alcotest.check_raises "zero link bandwidth"
     (Invalid_argument "Interconnect: link bandwidth must be > 0")
     (fun () ->
@@ -153,7 +149,10 @@ let test_noc_validation () =
 let test_bus_degenerate_noc () =
   let n = 5 in
   let procs = Array.init n (fun i -> proc i) in
-  let bus = Arch.make ~bus_bandwidth:3 ~bus_latency:2 procs in
+  let bus =
+    Arch.make
+      ~interconnect:(Interconnect.Bus { bandwidth = 3; latency = 2 })
+      procs in
   let noc =
     Arch.make
       ~interconnect:

@@ -464,10 +464,10 @@ let test_explore_records_metrics () =
    | Obs.Counter n ->
      check Alcotest.bool "evaluator result misses counted" true (n > 0)
    | _ -> Alcotest.fail "evaluator.result~miss is not a counter");
-  match metric "evaluator.sched~miss" with
+  match metric "evaluator.component~resolve" with
   | Obs.Counter n ->
     check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
-  | _ -> Alcotest.fail "evaluator.sched~miss is not a counter"
+  | _ -> Alcotest.fail "evaluator.component~resolve is not a counter"
 
 let suite =
   [ Alcotest.test_case "histogram bucket boundaries" `Quick

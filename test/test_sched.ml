@@ -21,7 +21,8 @@ module Bounds = Mcmap_sched.Bounds
 let check = Alcotest.check
 
 let arch ?(n = 2) ?(policy = Proc.Preemptive_fp) () =
-  Arch.make ~bus_bandwidth:2 ~bus_latency:1
+  Arch.make
+    ~interconnect:(Mcmap_model.Interconnect.Bus { bandwidth = 2; latency = 1 })
     (Array.init n (fun id ->
          Proc.make ~id ~name:(Format.asprintf "p%d" id) ~policy ()))
 
