@@ -90,6 +90,22 @@ let bench_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
+(* Count options: an out-of-range value is a usage error that names the
+   option (exit 124), not an exception from deep inside the run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error
+        (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
+let non_negative_int = int_at_least 0
+
 let ga_config ?(domains = 1) ?(eval_cache = 4096)
     ?(engine = D.Evaluator.Flat) population offspring generations seed =
   { D.Ga.default_config with
@@ -108,7 +124,8 @@ let engine_arg =
                  results; reference exists as the differential oracle.")
 
 let population_arg =
-  Arg.(value & opt int 40 & info [ "population" ] ~doc:"GA archive size.")
+  Arg.(value & opt positive_int 40
+       & info [ "population" ] ~doc:"GA archive size.")
 
 let offspring_arg =
   Arg.(value & opt int 40
@@ -120,7 +137,7 @@ let generations_arg =
 (* simulate is a quick look (1,000 profiles); the experiment
    reproduction defaults to the paper's 10,000. *)
 let profiles_arg ~default =
-  Arg.(value & opt int default
+  Arg.(value & opt non_negative_int default
        & info [ "profiles" ]
            ~doc:"Monte-Carlo failure profiles (the paper uses 10000).")
 
@@ -353,11 +370,11 @@ let explore_cmd =
        ~doc:"SPEA2 design-space exploration of a benchmark")
     Term.(const explore_run $ bench_arg $ population_arg $ offspring_arg
           $ generations_arg $ seed_arg
-          $ Arg.(value & opt int 1
+          $ Arg.(value & opt positive_int 1
                  & info [ "domains" ]
                      ~doc:"Domains evaluating candidates in parallel \
                            (results are identical for any count).")
-          $ Arg.(value & opt int 4096
+          $ Arg.(value & opt non_negative_int 4096
                  & info [ "eval-cache" ]
                      ~doc:"Evaluator-session result-cache capacity \
                            (0 disables caching).")
@@ -642,10 +659,10 @@ let campaign_cmd =
           closed-form reliability model at rare-event rates")
     Term.(const campaign_run_cmd $ bench_arg $ system_arg $ plan_arg
           $ seed_arg $ no_lint_arg $ campaign_action
-          $ Arg.(value & opt int 200_000
+          $ Arg.(value & opt positive_int 200_000
                  & info [ "trials" ]
                      ~doc:"Trial budget per graph, split across strata.")
-          $ Arg.(value & opt int 4096
+          $ Arg.(value & opt positive_int 4096
                  & info [ "shard-trials" ]
                      ~doc:"Trials per shard (the unit of parallelism, \
                            checkpointing and resume).")
@@ -658,7 +675,8 @@ let campaign_cmd =
                      ~doc:"Proposal floor for Poisson fault-count means \
                            (checkpointed tasks).")
           $ Arg.(value
-                 & opt int (Mcmap_util.Parallel.recommended_domains ())
+                 & opt positive_int
+                     (Mcmap_util.Parallel.recommended_domains ())
                  & info [ "domains" ]
                      ~doc:"Worker domains executing shards in parallel.")
           $ Arg.(value & opt (some string) None
@@ -832,18 +850,18 @@ let serve_cmd =
                            path, or $(b,HOST:PORT) for TCP (port 0 \
                            picks an ephemeral port, printed on \
                            startup).")
-          $ Arg.(value & opt int 4
+          $ Arg.(value & opt positive_int 4
                  & info [ "workers" ]
                      ~doc:"Worker domains evaluating requests.")
-          $ Arg.(value & opt int 64
+          $ Arg.(value & opt positive_int 64
                  & info [ "queue" ]
                      ~doc:"Work-queue bound; further requests are \
                            rejected, not blocked.")
-          $ Arg.(value & opt int 8
+          $ Arg.(value & opt positive_int 8
                  & info [ "pool" ]
                      ~doc:"Evaluator sessions kept warm (LRU beyond \
                            this).")
-          $ Arg.(value & opt int 1
+          $ Arg.(value & opt positive_int 1
                  & info [ "session-domains" ]
                      ~doc:"Domains per pooled session's population \
                            fan-out.")

@@ -11,9 +11,13 @@ let exec (w : Job.t) =
   let upper = w.Job.critical_wcet in
   (lower, upper)
 
+(* One state, no scenarios: [Wcrt.assemble] of the normal state alone
+   yields its verdicts, or every graph [Unbounded] on divergence. *)
 let analyze ?max_iterations ctx =
   let js = Bounds.jobset ctx in
-  let n_graphs = Happ.n_graphs js.Jobset.happ in
-  let result = Bounds.analyze ?max_iterations ctx ~exec in
-  Array.init n_graphs (fun graph ->
-      Verdict.of_option (Bounds.graph_wcrt js result ~graph))
+  let happ = js.Jobset.happ in
+  let response =
+    Wcrt.response_jobs js (Array.init (Happ.n_graphs happ) Fun.id) in
+  let normal =
+    Wcrt.verdicts response (Bounds.analyze ?max_iterations ctx ~exec) in
+  (Wcrt.assemble happ ~normal ~scenarios:Seq.empty).Wcrt.wcrt

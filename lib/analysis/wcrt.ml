@@ -1,6 +1,7 @@
 module Bounds = Mcmap_sched.Bounds
 module Jobset = Mcmap_sched.Jobset
 module Job = Mcmap_sched.Job
+module Flat = Mcmap_sched.Flat
 module Happ = Mcmap_hardening.Happ
 module Obs = Mcmap_obs.Obs
 
@@ -51,40 +52,82 @@ let scenario_exec ~base (nb : Bounds.job_bounds array) (v : Job.t)
     external_exec ~base ~min_start:nb.(v.Job.id).Bounds.min_start
       ~max_finish:nb.(v.Job.id).Bounds.max_finish nb w
 
+type engine = Reference | Flat
+
+let fixpoint ?max_iterations ?horizon engine js =
+  match engine with
+  | Reference ->
+    let ctx = Bounds.make ?horizon js in
+    fun ~exec -> Bounds.analyze ?max_iterations ctx ~exec
+  | Flat ->
+    let ctx = Flat.make ?horizon js in
+    fun ~exec -> Flat.analyze ?max_iterations ctx ~exec
+
+let response_jobs js graphs =
+  Array.map
+    (fun graph -> Array.of_list (Jobset.response_jobs js ~graph))
+    graphs
+
+let verdicts response (result : Bounds.result) =
+  if not result.Bounds.converged then None
+  else
+    Some
+      (Array.map
+         (fun jobs ->
+           Verdict.Finite
+             (Array.fold_left
+                (fun worst (j : Job.t) ->
+                  let finish =
+                    result.Bounds.bounds.(j.Job.id).Bounds.max_finish in
+                  max worst (Job.response j ~finish))
+                0 jobs))
+         response)
+
+let assemble happ ~normal ~scenarios =
+  let n_graphs = Happ.n_graphs happ in
+  match normal with
+  | None ->
+    (* The normal state diverged: every graph is unbounded and no trigger
+       scenario is examined. *)
+    let unbounded () = Array.make n_graphs Verdict.Unbounded in
+    { wcrt = unbounded (); normal_wcrt = unbounded ();
+      required_wcrt = unbounded (); scenarios = 0 }
+  | Some normal_wcrt ->
+    let wcrt = Array.copy normal_wcrt in
+    let required_wcrt = Array.copy normal_wcrt in
+    let scenarios =
+      Seq.fold_left
+        (fun count scenario ->
+          for g = 0 to n_graphs - 1 do
+            (* A diverged scenario poisons every graph. *)
+            let v =
+              match scenario with
+              | Some scenario_wcrt -> scenario_wcrt.(g)
+              | None -> Verdict.Unbounded in
+            wcrt.(g) <- Verdict.max wcrt.(g) v;
+            (* Dropped-set graphs owe their deadline only while alive,
+               i.e. in the normal state; all others owe it in every
+               scenario. *)
+            if not (Happ.graph_in_dropped_set happ g) then
+              required_wcrt.(g) <- Verdict.max required_wcrt.(g) v
+          done;
+          count + 1)
+        0 scenarios in
+    { wcrt; normal_wcrt; required_wcrt; scenarios }
+
 let analyze_spanned ?max_iterations ctx =
   let js = Bounds.jobset ctx in
   let happ = js.Jobset.happ in
-  let n_graphs = Happ.n_graphs happ in
-  let normal = Bounds.analyze ?max_iterations ctx ~exec:Bounds.nominal_exec in
-  let per_graph result =
-    Array.init n_graphs (fun graph ->
-        Verdict.of_option (Bounds.graph_wcrt js result ~graph)) in
-  let normal_wcrt = per_graph normal in
-  let wcrt = Array.copy normal_wcrt in
-  let required_wcrt = Array.copy normal_wcrt in
-  let scenarios = ref 0 in
+  let run exec = Bounds.analyze ?max_iterations ctx ~exec in
+  let response = response_jobs js (Array.init (Happ.n_graphs happ) Fun.id) in
+  let normal = run Bounds.nominal_exec in
   let base = js.Jobset.base_hyperperiod in
-  if normal.Bounds.converged then
-    List.iter
-      (fun (v : Job.t) ->
-        incr scenarios;
-        let exec = scenario_exec ~base normal.Bounds.bounds v in
-        let res = Bounds.analyze ?max_iterations ctx ~exec in
-        let scenario_wcrt = per_graph res in
-        for g = 0 to n_graphs - 1 do
-          wcrt.(g) <- Verdict.max wcrt.(g) scenario_wcrt.(g);
-          (* Dropped-set graphs owe their deadline only while alive, i.e.
-             in the normal state; all others owe it in every scenario. *)
-          if not (Happ.graph_in_dropped_set happ g) then
-            required_wcrt.(g) <- Verdict.max required_wcrt.(g)
-                scenario_wcrt.(g)
-        done)
-      (Jobset.triggers js)
-  else begin
-    Array.fill wcrt 0 n_graphs Verdict.Unbounded;
-    Array.fill required_wcrt 0 n_graphs Verdict.Unbounded
-  end;
-  let report = { wcrt; normal_wcrt; required_wcrt; scenarios = !scenarios } in
+  let scenarios =
+    Seq.map
+      (fun v ->
+        verdicts response (run (scenario_exec ~base normal.Bounds.bounds v)))
+      (List.to_seq (Jobset.triggers js)) in
+  let report = assemble happ ~normal:(verdicts response normal) ~scenarios in
   if Obs.enabled () then begin
     Obs.incr "wcrt.analyses";
     Obs.observe "wcrt.scenarios" report.scenarios;

@@ -35,11 +35,77 @@ type report = {
 }
 
 val analyze : ?max_iterations:int -> Mcmap_sched.Bounds.ctx -> report
-(** Run Algorithm 1 on a prepared bounds context. [max_iterations]
+(** Run Algorithm 1 on a prepared bounds context: the reference engine's
+    normal state and one scenario per {!Mcmap_sched.Jobset.triggers}
+    job, folded by {!assemble}. [max_iterations]
     defaults to {!Mcmap_sched.Bounds.default_max_iterations}, the one
     shared fixed-point cap of the analysis stack — callers forwarding the
     option (evaluator sessions, the GA) inherit the same default and must
     not restate it. *)
+
+(** {1 The shared parts of Algorithm 1}
+
+    {!analyze} is one composition of the functions below; the evaluator
+    session ([Mcmap_dse.Evaluator]) is another, over processor
+    components and memoised fixpoints. Both reach their verdicts through
+    {!verdicts} and {!assemble}, so the divergence and dropped-set rules
+    are written once, here. *)
+
+type engine =
+  | Reference  (** {!Mcmap_sched.Bounds} — the record-based oracle *)
+  | Flat  (** {!Mcmap_sched.Flat} — the zero-allocation flat kernel *)
+(** Which fixed-point implementation runs. Both return equal results on
+    every input — the [flat-agreement] check oracle enforces exact
+    agreement — so the choice affects speed only. *)
+
+val fixpoint :
+  ?max_iterations:int ->
+  ?horizon:int ->
+  engine ->
+  Mcmap_sched.Jobset.t ->
+  exec:(Mcmap_sched.Job.t -> int * int) ->
+  Mcmap_sched.Bounds.result
+(** [fixpoint engine js] builds the engine's context for [js] once (with
+    [?horizon] as in {!Mcmap_sched.Bounds.make}) and returns the
+    scenario function: [~exec] runs one fixed point under those per-job
+    execution bounds. Partially apply it to reuse the context across the
+    normal state and every scenario. *)
+
+val response_jobs :
+  Mcmap_sched.Jobset.t -> int array -> Mcmap_sched.Job.t array array
+(** [response_jobs js graphs]: per listed source graph, its
+    response-defining jobs ({!Mcmap_sched.Jobset.response_jobs}). Static
+    per jobset, so it is computed once and shared by every {!verdicts}
+    call on that jobset's results. *)
+
+val verdicts :
+  Mcmap_sched.Job.t array array ->
+  Mcmap_sched.Bounds.result ->
+  Verdict.t array option
+(** [verdicts response result]: each graph's worst response over its
+    [response] jobs, aligned with [response] — the same value as
+    {!Mcmap_sched.Bounds.graph_wcrt}. [None] when the fixed point
+    diverged. *)
+
+val assemble :
+  Mcmap_hardening.Happ.t ->
+  normal:Verdict.t array option ->
+  scenarios:Verdict.t array option Seq.t ->
+  report
+(** Fold the normal state and the trigger scenarios into a report, with
+    every array indexed by source graph of [happ]:
+    - [wcrt] is the maximum over the normal state and all scenarios;
+    - [required_wcrt] takes scenarios into account only for graphs
+      outside the dropped set;
+    - a diverged scenario ([None]) makes every graph [Unbounded] in both;
+    - a diverged normal state ([normal = None]) makes all three arrays
+      [Unbounded] and [scenarios = 0];
+    - [scenarios] counts the elements of [scenarios].
+
+    The sequence is forced, once and in full, only when [normal] is
+    [Some]: a caller may compute each scenario on demand, and no
+    scenario runs after a diverged normal state. [normal] becomes the
+    report's [normal_wcrt] and must not be mutated afterwards. *)
 
 val scenario_exec :
   base:int ->

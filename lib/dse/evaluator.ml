@@ -9,7 +9,6 @@ module Reliability = Mcmap_reliability.Analysis
 module Job = Mcmap_sched.Job
 module Jobset = Mcmap_sched.Jobset
 module Bounds = Mcmap_sched.Bounds
-module Flat = Mcmap_sched.Flat
 module Wcrt = Mcmap_analysis.Wcrt
 module Verdict = Mcmap_analysis.Verdict
 module Fingerprint = Mcmap_util.Fingerprint
@@ -136,29 +135,7 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
      embedding a session in a threaded server must record their own
      metrics from reader threads (see Mcmap_serve.Metrics). *)
 
-type engine = Reference | Flat
-
-(* The two Algorithm 1 backends behind one face: the reference
-   interval analysis ([Bounds]) and its flat structure-of-arrays twin
-   ([Flat]). They agree field-for-field on every input — the
-   [flat-agreement] oracle enforces it — so engine choice changes
-   wall-clock only, never results. *)
-type ectx = Ref_ctx of Bounds.ctx | Flat_ctx of Flat.ctx
-
-let make_ectx engine ~horizon rjs =
-  match engine with
-  | Reference -> Ref_ctx (Bounds.make ~horizon rjs)
-  | Flat -> Flat_ctx (Flat.make ~horizon rjs)
-
-let analyze_ectx ~max_iterations ectx ~exec =
-  match ectx with
-  | Ref_ctx ctx -> Bounds.analyze ~max_iterations ctx ~exec
-  | Flat_ctx ctx -> Flat.analyze ~max_iterations ctx ~exec
-
-type sched_info = {
-  required : Verdict.t array;  (* per source graph: required WCRT *)
-  ok : bool;  (* every required verdict meets its deadline *)
-}
+type engine = Wcrt.engine = Reference | Flat
 
 (* One decision row's plan-dependent images: its hardened graph and,
    when the graph has a reliability bound, its failure rate. *)
@@ -167,30 +144,23 @@ type row = {
   rate : float option;  (* [Some] exactly when [rel_bounds.(gi)] is *)
 }
 
-(* One trigger scenario's result over a component's graphs. *)
-type outcome = {
-  o_diverged : bool;
-  o_verdicts : Verdict.t array;  (* aligned with [ce_graphs] *)
-}
-
 (* Memoised analysis of one processor-connected component: the restricted
    jobset's normal-state fixed point, one scenario per internal trigger,
    and a lazily-grown table of external-trigger scenarios keyed by the
    trigger's (min_start, max_finish) summary — the only channel through
-   which a remote fault is visible here (see {!Wcrt.external_exec}). *)
+   which a remote fault is visible here (see {!Wcrt.external_exec}).
+   Every verdict row is aligned with [ce_graphs]; [None] marks a
+   diverged fixed point. *)
 type centry = {
-  ce_ctx : ectx;
+  ce_run : exec:(Job.t -> int * int) -> Bounds.result;
   ce_graphs : int array;  (* ascending source graph indices *)
-  ce_response : Job.t array array;
-      (* per graph: its sink-task response jobs — static per restricted
-         jobset, cached so each scenario outcome is a max-fold rather
-         than a sink recomputation and jobset scan per graph *)
+  ce_response : Job.t array array;  (* [Wcrt.response_jobs] of ce_graphs *)
   ce_normal : Bounds.result;
-  ce_normal_verdicts : Verdict.t array;
+  ce_normal_verdicts : Verdict.t array option;
   ce_triggers : Job.t array;
-  ce_summaries : (int * int) array;  (* per trigger: (min_start, max_finish) *)
-  ce_internal : outcome array;  (* per trigger; empty if normal diverged *)
-  ce_external : (int * int, outcome) Hashtbl.t;
+  ce_internal : Verdict.t array option array;
+      (* per trigger; empty if normal diverged *)
+  ce_external : (int * int, Verdict.t array option) Hashtbl.t;
 }
 
 type t = {
@@ -439,32 +409,6 @@ let structure_fp rjs =
   fp := Fingerprint.int_array !fp rjs.Jobset.topo;
   !fp
 
-let response_jobs_for rjs graphs =
-  Array.map
-    (fun g -> Array.of_list (Jobset.response_jobs rjs ~graph:g))
-    graphs
-
-(* [Bounds.graph_wcrt] over the precomputed response jobs: the same
-   max-fold on the same jobs, minus the per-call sink lookup. *)
-let per_graph_outcome response res =
-  { o_diverged = not res.Bounds.converged;
-    o_verdicts =
-      Array.map
-        (fun jobs ->
-          Verdict.of_option
-            (if not res.Bounds.converged then None
-             else begin
-               let worst = ref 0 in
-               Array.iter
-                 (fun (j : Job.t) ->
-                   let finish =
-                     res.Bounds.bounds.(j.Job.id).Bounds.max_finish in
-                   worst := max !worst (Job.response j ~finish))
-                 jobs;
-               Some !worst
-             end))
-        response }
-
 let centry_for t js graphs =
   let rjs = Jobset.restrict js ~graphs in
   let key = structure_fp rjs in
@@ -474,34 +418,25 @@ let centry_for t js graphs =
     entry
   | None ->
     tier_event "evaluator.component" Flight.Cache_miss "resolve";
-    let ctx = make_ectx t.engine ~horizon:t.horizon rjs in
-    let response = response_jobs_for rjs graphs in
-    let normal =
-      analyze_ectx ~max_iterations:t.max_iterations ctx
-        ~exec:Bounds.nominal_exec in
-    let normal_verdicts = (per_graph_outcome response normal).o_verdicts in
+    let run =
+      Wcrt.fixpoint ~max_iterations:t.max_iterations ~horizon:t.horizon
+        t.engine rjs in
+    let response = Wcrt.response_jobs rjs graphs in
+    let normal = run ~exec:Bounds.nominal_exec in
     let triggers = Array.of_list (Jobset.triggers rjs) in
-    let summaries =
-      Array.map
-        (fun (v : Job.t) ->
-          ( normal.Bounds.bounds.(v.Job.id).Bounds.min_start,
-            normal.Bounds.bounds.(v.Job.id).Bounds.max_finish ))
-        triggers in
     let internal =
       if normal.Bounds.converged then
         Array.map
-          (fun (v : Job.t) ->
-            let exec =
-              Wcrt.scenario_exec ~base:t.base normal.Bounds.bounds v in
-            per_graph_outcome response
-              (analyze_ectx ~max_iterations:t.max_iterations ctx ~exec))
+          (fun v ->
+            let exec = Wcrt.scenario_exec ~base:t.base normal.Bounds.bounds v in
+            Wcrt.verdicts response (run ~exec))
           triggers
       else [||] in
     let entry =
-      { ce_ctx = ctx; ce_graphs = graphs; ce_response = response;
+      { ce_run = run; ce_graphs = graphs; ce_response = response;
         ce_normal = normal;
-        ce_normal_verdicts = normal_verdicts; ce_triggers = triggers;
-        ce_summaries = summaries; ce_internal = internal;
+        ce_normal_verdicts = Wcrt.verdicts response normal;
+        ce_triggers = triggers; ce_internal = internal;
         ce_external = Hashtbl.create 16 } in
     with_lock t (fun () ->
         tier_add "evaluator.component" t.components key entry);
@@ -518,12 +453,12 @@ let external_outcome t entry (ms, mf) =
   with
   | Some o -> o
   | None ->
-    let exec =
-      Wcrt.external_exec ~base:t.base ~min_start:ms ~max_finish:mf
-        entry.ce_normal.Bounds.bounds in
-    let res =
-      analyze_ectx ~max_iterations:t.max_iterations entry.ce_ctx ~exec in
-    let o = per_graph_outcome entry.ce_response res in
+    let o =
+      Wcrt.verdicts entry.ce_response
+        (entry.ce_run
+           ~exec:
+             (Wcrt.external_exec ~base:t.base ~min_start:ms ~max_finish:mf
+                entry.ce_normal.Bounds.bounds)) in
     if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
     with_lock t (fun () ->
         if not (Hashtbl.mem entry.ce_external (ms, mf)) then
@@ -535,66 +470,47 @@ let external_outcome t entry (ms, mf) =
    restricted sweeps replay the full Gauss-Seidel sweeps verbatim (same
    job order, same horizon, same iteration cap), a remote trigger acts
    on a component only through its (min_start, max_finish) summary, and
-   divergence anywhere must poison the whole scenario exactly as the
-   full analysis's [converged = false] does. *)
-let compute_sched t (happ : Happ.t) =
-  let js = Jobset.build happ in
-  let comps = components_of t happ in
-  let entries = Array.map (fun graphs -> centry_for t js graphs) comps in
-  let required = Array.make t.n_graphs Verdict.Unbounded in
-  if
-    Array.exists
-      (fun e -> not e.ce_normal.Bounds.converged)
-      entries
-  then
-    (* The full normal-state analysis would not converge: every graph is
-       unbounded and no trigger scenario is examined. *)
-    { required; ok = false }
-  else begin
-    let position = Array.make t.n_graphs (-1, -1) in
-    Array.iteri
-      (fun ci entry ->
-        Array.iteri
-          (fun k g ->
-            position.(g) <- (ci, k);
-            required.(g) <- entry.ce_normal_verdicts.(k))
-          entry.ce_graphs)
-      entries;
-    Array.iteri
-      (fun ci entry ->
-        Array.iteri
-          (fun ti _v ->
-            let summary = entry.ce_summaries.(ti) in
-            let outcomes =
-              Array.mapi
-                (fun cj other ->
-                  if cj = ci then entry.ce_internal.(ti)
-                  else external_outcome t other summary)
-                entries in
-            let diverged =
-              Array.exists (fun o -> o.o_diverged) outcomes in
-            for g = 0 to t.n_graphs - 1 do
-              (* Dropped-set graphs owe their deadline only in the
-                 normal state (cf. [Wcrt.analyze]). *)
-              if not (Happ.graph_in_dropped_set happ g) then begin
-                let contribution =
-                  if diverged then Verdict.Unbounded
-                  else begin
-                    let cj, k = position.(g) in
-                    outcomes.(cj).o_verdicts.(k)
-                  end in
-                required.(g) <- Verdict.max required.(g) contribution
-              end
-            done)
-          entry.ce_triggers)
-      entries;
-    let ok = ref true in
-    Array.iteri
-      (fun g verdict ->
-        if not (Verdict.within verdict t.deadlines.(g)) then ok := false)
-      required;
-    { required; ok = !ok }
-  end
+   divergence in any component diverges the whole state — so a state's
+   row is [None] as soon as one component's is, and [Wcrt.assemble]
+   applies the same rules as the full analysis. *)
+let compute_sched t js =
+  let entries =
+    Array.map (fun graphs -> centry_for t js graphs)
+      (components_of t js.Jobset.happ) in
+  let glue rows =
+    if Array.exists Option.is_none rows then None
+    else begin
+      let row = Array.make t.n_graphs Verdict.Unbounded in
+      Array.iteri
+        (fun ci verdicts ->
+          Array.iteri
+            (fun k g -> row.(g) <- (Option.get verdicts).(k))
+            entries.(ci).ce_graphs)
+        rows;
+      Some row
+    end in
+  (* Trigger [v] of component [ci]: its own scenario there, and the
+     external scenario of its summary in every other component. Every
+     component's row is solved even when one diverges. *)
+  let scenario ci entry ti (v : Job.t) =
+    let nb = entry.ce_normal.Bounds.bounds.(v.Job.id) in
+    glue
+      (Array.mapi
+         (fun cj other ->
+           if cj = ci then entry.ce_internal.(ti)
+           else
+             external_outcome t other
+               (nb.Bounds.min_start, nb.Bounds.max_finish))
+         entries) in
+  let scenarios =
+    Seq.concat
+      (Seq.mapi
+         (fun ci entry ->
+           Seq.mapi (scenario ci entry) (Array.to_seq entry.ce_triggers))
+         (Array.to_seq entries)) in
+  Wcrt.assemble js.Jobset.happ
+    ~normal:(glue (Array.map (fun e -> e.ce_normal_verdicts) entries))
+    ~scenarios
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation.                                                         *)
@@ -606,18 +522,20 @@ let power t plan = Evaluate.power_of_happ t.arch (happ_of_plan t plan)
 let eval_fresh t plan =
   let rows = rows_of t plan in
   let happ = happ_of t plan rows in
-  let sinfo = compute_sched t happ in
+  let js = Jobset.build happ in
+  let report = compute_sched t js in
+  let schedulable = Wcrt.schedulable js report in
   let reliability_violations = violations_of t rows in
   let reliable = reliability_violations = [] in
   let power = Evaluate.power_of_happ t.arch happ in
   let service = Evaluate.service_of_plan t.apps plan in
   let violation =
-    if sinfo.ok && reliable then 0.
+    if schedulable && reliable then 0.
     else
-      Evaluate.violation_of ~deadlines:t.deadlines sinfo.required
+      Evaluate.violation_of ~deadlines:t.deadlines report.Wcrt.required_wcrt
         reliability_violations in
   let rescued =
-    if (not t.check_rescue) || not sinfo.ok then false
+    if (not t.check_rescue) || not schedulable then false
     else if Plan.dropped_graphs plan = [] then false
     else begin
       let no_drop =
@@ -626,10 +544,11 @@ let eval_fresh t plan =
           ~dropped:(Array.make t.n_graphs false) in
       (* [no_drop] shares every row with [plan], and every component
          entry whose jobs the drop set leaves unchanged. *)
-      not (compute_sched t (happ_of_plan t no_drop)).ok
+      let js = Jobset.build (happ_of_plan t no_drop) in
+      not (Wcrt.schedulable js (compute_sched t js))
     end in
-  { Evaluate.plan; power; service; schedulable = sinfo.ok; reliable;
-    violation; rescued; objectives = [| power; -.service |] }
+  { Evaluate.plan; power; service; schedulable; reliable; violation;
+    rescued; objectives = [| power; -.service |] }
 
 let find_cached t fp plan =
   with_lock t (fun () ->

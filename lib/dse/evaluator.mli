@@ -34,15 +34,11 @@
 
 type t
 
-type engine =
-  | Reference  (** {!Mcmap_sched.Bounds} — the record-based oracle *)
-  | Flat  (** {!Mcmap_sched.Flat} — the zero-allocation flat kernel *)
-(** Which Algorithm 1 fixed-point implementation the session runs. Both
-    return equal results on every input — the [flat-agreement] check
-    oracle enforces exact agreement — so the choice affects speed only:
-    [Flat] (the default) is the structure-of-arrays kernel, [Reference]
-    keeps the original {!Mcmap_sched.Bounds} engine as the differential
-    baseline. *)
+type engine = Mcmap_analysis.Wcrt.engine = Reference | Flat
+(** Which Algorithm 1 fixed-point implementation the session runs: the
+    engine of {!Mcmap_analysis.Wcrt.fixpoint}, whose documentation
+    covers both. The choice affects speed only; [Flat] is the default,
+    [Reference] the differential baseline. *)
 
 val create :
   ?cache_capacity:int ->

@@ -65,13 +65,6 @@ let gauge ?label t name v =
   let k = key ?label name in
   with_lock t (fun () -> gauge_cell t k := v)
 
-let add_gauge ?label t name delta =
-  let k = key ?label name in
-  with_lock t (fun () ->
-      let r = gauge_cell t k in
-      r := !r +. delta;
-      !r)
-
 let observe ?label t name v =
   let k = key ?label name in
   with_lock t (fun () -> Histogram.observe (hist_cell t k) v)
@@ -95,10 +88,3 @@ let snapshot t : Obs.snapshot =
     spans = [] }
 
 let to_sexp t = Obs.metrics_to_sexp (snapshot t)
-
-let quantile t name q =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.cells name with
-      | Some (Hist h) when not (Histogram.is_empty h) ->
-        Some (Histogram.quantile h q)
-      | _ -> None)

@@ -21,10 +21,6 @@ val incr : ?by:int -> ?label:string -> t -> string -> unit
 
 val gauge : ?label:string -> t -> string -> float -> unit
 
-val add_gauge : ?label:string -> t -> string -> float -> float
-(** Atomically add a (possibly negative) delta to a gauge and return
-    the new value — the queue-depth gauge is kept this way. *)
-
 val observe : ?label:string -> t -> string -> int -> unit
 (** Add one observation to a log-bucket histogram
     ({!Mcmap_obs.Histogram}). *)
@@ -34,7 +30,3 @@ val snapshot : t -> Mcmap_obs.Obs.snapshot
 
 val to_sexp : t -> Mcmap_util.Sexp.t
 (** [Obs.metrics_to_sexp (snapshot t)]. *)
-
-val quantile : t -> string -> float -> int option
-(** [quantile t name q]: the q-quantile upper estimate of histogram
-    [name], or [None] if absent or empty. *)

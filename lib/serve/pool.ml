@@ -2,7 +2,6 @@ module Spec = Mcmap_spec.Spec
 module Evaluator = Mcmap_dse.Evaluator
 module Fingerprint = Mcmap_util.Fingerprint
 module Lru = Mcmap_util.Lru
-module Sexp = Mcmap_util.Sexp
 
 type entry = {
   canonical : string;  (** collision guard: the full canonical text *)
@@ -14,8 +13,6 @@ type t = {
   sessions : (string, entry) Lru.t;  (** keyed by fingerprint hex *)
   domains : int;
   metrics : Metrics.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(capacity = 8) ?(domains = 1) ~metrics () =
@@ -24,15 +21,11 @@ let create ?(capacity = 8) ?(domains = 1) ~metrics () =
   { lock = Mutex.create ();
     sessions = Lru.create ~capacity ();
     domains;
-    metrics;
-    hits = 0;
-    misses = 0 }
+    metrics }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let capacity t = Lru.capacity t.sessions
 
 let fingerprint_of canonical =
   Fingerprint.to_hex (Fingerprint.string Fingerprint.empty canonical)
@@ -43,9 +36,7 @@ let session t (system : Spec.system) =
   match
     with_lock t (fun () ->
         match Lru.find t.sessions key with
-        | Some e when e.canonical = canonical ->
-          t.hits <- t.hits + 1;
-          Some e.session
+        | Some e when e.canonical = canonical -> Some e.session
         | Some _ | None -> None)
   with
   | Some session ->
@@ -64,7 +55,6 @@ let session t (system : Spec.system) =
     let evicted =
       with_lock t (fun () ->
           let before = Lru.evictions t.sessions in
-          t.misses <- t.misses + 1;
           Lru.add t.sessions key { canonical; session };
           Lru.evictions t.sessions - before)
     in
@@ -74,16 +64,3 @@ let session t (system : Spec.system) =
     Metrics.gauge t.metrics "serve.pool.size"
       (float_of_int (with_lock t (fun () -> Lru.length t.sessions)));
     session
-
-let stats t =
-  with_lock t (fun () ->
-      let field name v =
-        Sexp.List [ Sexp.Atom name; Sexp.Atom (string_of_int v) ]
-      in
-      Sexp.List
-        [ Sexp.Atom "pool";
-          field "size" (Lru.length t.sessions);
-          field "capacity" (Lru.capacity t.sessions);
-          field "hits" t.hits;
-          field "misses" t.misses;
-          field "evictions" (Lru.evictions t.sessions) ])

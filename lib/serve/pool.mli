@@ -19,17 +19,12 @@ val create :
   ?capacity:int -> ?domains:int -> metrics:Metrics.t -> unit -> t
 (** [capacity] (default 8) bounds the number of live sessions;
     [domains] (default 1) is passed to each created session's
-    [Evaluator.create]. Pool traffic is recorded in [metrics] as
+    [Evaluator.create]. Pool traffic is recorded only in [metrics], as
     [serve.pool~hit], [serve.pool~miss], [serve.pool~evict] counters
-    and a [serve.pool.size] gauge.
+    and a [serve.pool.size] gauge; the server's [stats] response
+    reports them from there.
     @raise Invalid_argument if [capacity < 1] or [domains < 1]. *)
-
-val capacity : t -> int
 
 val session : t -> Mcmap_spec.Spec.system -> Mcmap_dse.Evaluator.t
 (** The pooled session for this system, creating (and possibly
     evicting the least recently used) on miss. *)
-
-val stats : t -> Mcmap_util.Sexp.t
-(** [(pool (size N) (capacity N) (hits N) (misses N) (evictions N))] —
-    folded into the [stats] response. *)

@@ -500,6 +500,75 @@ let test_evaluator_rescue_path () =
     [ ("default", Evaluator.create arch apps);
       ("uncached", Evaluator.create ~cache_capacity:0 arch apps) ]
 
+(* A component whose normal state diverges poisons the whole plan. The
+   overloaded ramp on p0 (utilisation 1 plus a second task) is still
+   rising when the iteration cap stops it, while the independent graph
+   on p1 settles in one sweep; yet p1's graph comes out unbounded too,
+   and no trigger scenario is examined even though its re-executed
+   task is a trigger. The session reaches this through its
+   per-component glue, the fresh path through the full analysis. *)
+let test_evaluator_divergent_component () =
+  let module Proc = Mcmap_model.Proc in
+  let module Task = Mcmap_model.Task in
+  let module Criticality = Mcmap_model.Criticality in
+  let module Happ = Mcmap_hardening.Happ in
+  let module Jobset = Mcmap_sched.Jobset in
+  let module Bounds = Mcmap_sched.Bounds in
+  let module Wcrt = Mcmap_analysis.Wcrt in
+  let arch =
+    Arch.make
+      ~interconnect:
+        (Mcmap_model.Interconnect.Bus { bandwidth = 2; latency = 1 })
+      (Array.init 2 (fun id ->
+           Proc.make ~id ~name:(Printf.sprintf "p%d" id) ())) in
+  let graph name ~period ~wcet ~bcet =
+    Graph.make ~name ~period ~channels:[||]
+      ~criticality:(Criticality.critical 1e-3)
+      ~tasks:[| Task.make ~id:0 ~name ~wcet ~bcet ~detection_overhead:2 () |]
+      () in
+  let apps =
+    Appset.make
+      [| graph "fast" ~period:10 ~wcet:10 ~bcet:10;
+         graph "slow" ~period:100 ~wcet:20 ~bcet:20;
+         graph "calm" ~period:100 ~wcet:10 ~bcet:5 |] in
+  let decision technique proc =
+    [| { Plan.technique; primary_proc = proc; replica_procs = [||];
+         voter_proc = proc } |] in
+  let plan =
+    Plan.make apps
+      ~decisions:
+        [| decision Technique.No_hardening 0;
+           decision Technique.No_hardening 0;
+           decision (Technique.Re_execution 1) 1 |]
+      ~dropped:[| false; false; false |] in
+  let max_iterations = 2 in
+  let js = Jobset.build (Happ.build arch apps plan) in
+  let report = Wcrt.analyze ~max_iterations (Bounds.make js) in
+  check Alcotest.int "no scenario examined" 0 report.Wcrt.scenarios;
+  List.iter
+    (fun (name, verdicts) ->
+      check Alcotest.bool (name ^ ": every graph unbounded") true
+        (Array.for_all (( = ) Mcmap_analysis.Verdict.Unbounded) verdicts))
+    [ ("wcrt", report.Wcrt.wcrt); ("normal", report.Wcrt.normal_wcrt);
+      ("required", report.Wcrt.required_wcrt) ];
+  let fresh = Evaluate.evaluate ~max_iterations arch apps plan in
+  check Alcotest.bool "fresh: unschedulable" false fresh.Evaluate.schedulable;
+  List.iter
+    (fun engine ->
+      let converges graphs =
+        (Wcrt.fixpoint ~max_iterations engine
+           (Jobset.restrict js ~graphs) ~exec:Bounds.nominal_exec)
+          .Bounds.converged in
+      check Alcotest.bool "p0 diverges" false (converges [| 0; 1 |]);
+      check Alcotest.bool "p1 converges" true (converges [| 2 |]);
+      let e =
+        Evaluator.eval
+          (Evaluator.create ~engine ~max_iterations arch apps)
+          plan in
+      check Alcotest.bool "session: unschedulable" false e.Evaluate.schedulable;
+      check_evaluation_equal "session = fresh" e fresh)
+    [ Evaluator.Flat; Evaluator.Reference ]
+
 let test_evaluator_power_matches () =
   let sys = Test_gen.random_system 33 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
@@ -579,6 +648,8 @@ let suite =
       test_evaluator_fingerprint_canonical;
     Alcotest.test_case "evaluator: matches fresh evaluation" `Quick
       test_evaluator_matches_fresh;
+    Alcotest.test_case "evaluator: divergent component poisons all" `Quick
+      test_evaluator_divergent_component;
     Alcotest.test_case "evaluator: rescue re-check matches fresh" `Quick
       test_evaluator_rescue_path;
     Alcotest.test_case "evaluator: power shim" `Quick

@@ -4,6 +4,7 @@
 
 module Wire = Mcmap_util.Wire
 module Sexp = Mcmap_util.Sexp
+module Obs = Mcmap_obs.Obs
 module P = Mcmap_serve.Protocol
 module Server = Mcmap_serve.Server
 module Client = Mcmap_serve.Client
@@ -305,16 +306,21 @@ let system_of name =
   let b = B.Registry.find_exn name in
   { Spec.arch = b.B.Benchmark.arch; apps = b.B.Benchmark.apps }
 
-let pool_counters sexp =
-  match sexp with
-  | Sexp.List (Sexp.Atom "pool" :: items) ->
-    let get k =
-      match Sexp.assoc_int k items with
-      | Ok v -> v
-      | Error e -> Alcotest.failf "pool stats: %s" e
-    in
-    (get "size", get "hits", get "misses", get "evictions")
-  | _ -> Alcotest.fail "pool stats shape"
+(* Pool traffic as the server reports it: the [serve.pool~*] counters
+   and the [serve.pool.size] gauge of its metrics registry. *)
+let pool_counters metrics =
+  let metrics = (Metrics.snapshot metrics).Obs.metrics in
+  let counter label =
+    match List.assoc_opt ("serve.pool~" ^ label) metrics with
+    | Some (Obs.Counter n) -> n
+    | Some _ | None -> Alcotest.failf "no serve.pool~%s counter" label
+  in
+  let size =
+    match List.assoc_opt "serve.pool.size" metrics with
+    | Some (Obs.Gauge v) -> int_of_float v
+    | Some _ | None -> Alcotest.fail "no serve.pool.size gauge"
+  in
+  (size, counter "hit", counter "miss", counter "evict")
 
 let test_pool_hit_miss_evict () =
   let metrics = Metrics.create () in
@@ -325,7 +331,7 @@ let test_pool_hit_miss_evict () =
   check Alcotest.bool "same session on hit" true (s1 == s2);
   ignore (Pool.session pool (system_of "dt-med"));
   ignore (Pool.session pool (system_of "synth-1"));
-  let size, hits, misses, evictions = pool_counters (Pool.stats pool) in
+  let size, hits, misses, evictions = pool_counters metrics in
   check Alcotest.int "bounded" 2 size;
   check Alcotest.int "one hit" 1 hits;
   check Alcotest.int "three misses" 3 misses;
