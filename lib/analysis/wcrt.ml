@@ -22,9 +22,10 @@ type report = {
 (* A non-triggering job only sees the trigger through two scalars: the
    earliest time the fault can occur ([min_start] of the trigger) and the
    latest time it can surface ([max_finish]). The evaluator session
-   exploits this: a trigger in another processor component is fully
-   summarised by that pair, so scenario analyses can be memoised per
-   component and shared between all external triggers with equal pairs. *)
+   exploits this: a trigger in another processor component acts there
+   only through these bounds, so that component's scenario is computed
+   from the pair alone (and memoised by the execution-bound vector it
+   yields, like every scenario). *)
 let external_exec ~base ~min_start ~max_finish
     (nb : Bounds.job_bounds array) (w : Job.t) =
   if nb.(w.Job.id).Bounds.max_finish < min_start then

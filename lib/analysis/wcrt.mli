@@ -132,7 +132,11 @@ val external_exec :
     trigger is fully summarised by that pair. For a trigger [v] inside
     the jobset, [scenario_exec ~base nb v] and
     [external_exec ~base ~min_start:nb.(v.id).min_start
-    ~max_finish:nb.(v.id).max_finish nb] agree on every other job. *)
+    ~max_finish:nb.(v.id).max_finish nb] agree on every other job. The
+    evaluator session analyses each processor component under the
+    bounds of {!scenario_exec} for its own triggers and of
+    [external_exec] for every other trigger, and memoises both kinds
+    alike by the resulting execution-bound vector. *)
 
 val schedulable : Mcmap_sched.Jobset.t -> report -> bool
 (** Every graph's [required_wcrt] meets its relative deadline. *)

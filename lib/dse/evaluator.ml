@@ -114,7 +114,7 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
    [eval_population] rely on):
 
    - The three LRU tiers ([results], [components], [rows]), the
-     per-entry [ce_external] tables and [last_ok] are mutated only
+     per-entry [ce_scenarios] tables and [last_ok] are mutated only
      under [lock], which is held for the lookup or insert alone.
    - Cached values ([Evaluate.t], [centry], [row]) are immutable once
      published, so a value evicted while another domain still holds
@@ -145,22 +145,19 @@ type row = {
 }
 
 (* Memoised analysis of one processor-connected component: the restricted
-   jobset's normal-state fixed point, one scenario per internal trigger,
-   and a lazily-grown table of external-trigger scenarios keyed by the
-   trigger's (min_start, max_finish) summary — the only channel through
-   which a remote fault is visible here (see {!Wcrt.external_exec}).
-   Every verdict row is aligned with [ce_graphs]; [None] marks a
-   diverged fixed point. *)
+   jobset's normal-state fixed point, its triggers, and a lazily-grown
+   table of trigger scenarios keyed by the fingerprint of the scenario's
+   execution-bound vector (see [scenario]). Every verdict row is aligned
+   with [ce_graphs]; [None] marks a diverged fixed point. *)
 type centry = {
   ce_run : exec:(Job.t -> int * int) -> Bounds.result;
+  ce_jobs : Job.t array;  (* the restricted jobset's jobs, id = index *)
   ce_graphs : int array;  (* ascending source graph indices *)
   ce_response : Job.t array array;  (* [Wcrt.response_jobs] of ce_graphs *)
   ce_normal : Bounds.result;
   ce_normal_verdicts : Verdict.t array option;
   ce_triggers : Job.t array;
-  ce_internal : Verdict.t array option array;
-      (* per trigger; empty if normal diverged *)
-  ce_external : (int * int, Verdict.t array option) Hashtbl.t;
+  ce_scenarios : (Fingerprint.t, Verdict.t array option) Hashtbl.t;
 }
 
 type t = {
@@ -423,53 +420,48 @@ let centry_for t js graphs =
         t.engine rjs in
     let response = Wcrt.response_jobs rjs graphs in
     let normal = run ~exec:Bounds.nominal_exec in
-    let triggers = Array.of_list (Jobset.triggers rjs) in
-    let internal =
-      if normal.Bounds.converged then
-        Array.map
-          (fun v ->
-            let exec = Wcrt.scenario_exec ~base:t.base normal.Bounds.bounds v in
-            Wcrt.verdicts response (run ~exec))
-          triggers
-      else [||] in
     let entry =
-      { ce_run = run; ce_graphs = graphs; ce_response = response;
-        ce_normal = normal;
+      { ce_run = run; ce_jobs = rjs.Jobset.jobs; ce_graphs = graphs;
+        ce_response = response; ce_normal = normal;
         ce_normal_verdicts = Wcrt.verdicts response normal;
-        ce_triggers = triggers; ce_internal = internal;
-        ce_external = Hashtbl.create 16 } in
+        ce_triggers = Array.of_list (Jobset.triggers rjs);
+        ce_scenarios = Hashtbl.create 16 } in
     with_lock t (fun () ->
         tier_add "evaluator.component" t.components key entry);
     entry
 
-(* The scenario of a trigger outside this component, summarised by its
-   (min_start, max_finish) pair; memoised per entry, so all external
-   triggers with equal summaries share one fixed-point run. Racing
-   domains may compute the same outcome twice — results are equal, the
-   first insert wins. *)
-let external_outcome t entry (ms, mf) =
-  match
-    with_lock t (fun () -> Hashtbl.find_opt entry.ce_external (ms, mf))
-  with
-  | Some o -> o
+(* One trigger scenario of a component, under the per-job execution
+   bounds [exec]. Within an entry the fixed point is a pure function of
+   the (lo, hi) vector [exec] gives the jobs in id order — the entry fixes
+   the structure, the session the horizon, cap and engine — so that
+   vector's fingerprint keys the memo exactly: internal triggers that
+   adjust the bounds identically, and external triggers with equal
+   summaries, share one run. Racing domains may compute the same
+   verdicts twice; they are equal, the last insert wins. *)
+let scenario t entry exec =
+  let bounds = Array.map exec entry.ce_jobs in
+  let key =
+    Array.fold_left
+      (fun fp (lo, hi) -> Fingerprint.int (Fingerprint.int fp lo) hi)
+      Fingerprint.empty bounds in
+  match with_lock t (fun () -> Hashtbl.find_opt entry.ce_scenarios key) with
+  | Some verdicts ->
+    tier_hit "evaluator.scenario";
+    verdicts
   | None ->
-    let o =
+    tier_miss "evaluator.scenario";
+    let verdicts =
       Wcrt.verdicts entry.ce_response
-        (entry.ce_run
-           ~exec:
-             (Wcrt.external_exec ~base:t.base ~min_start:ms ~max_finish:mf
-                entry.ce_normal.Bounds.bounds)) in
-    if Obs.enabled () then Obs.incr "evaluator.external_scenarios";
-    with_lock t (fun () ->
-        if not (Hashtbl.mem entry.ce_external (ms, mf)) then
-          Hashtbl.add entry.ce_external (ms, mf) o);
-    o
+        (entry.ce_run ~exec:(fun (j : Job.t) -> bounds.(j.Job.id))) in
+    with_lock t (fun () -> Hashtbl.replace entry.ce_scenarios key verdicts);
+    verdicts
 
 (* Reassemble the full Algorithm 1 verdicts from per-component pieces.
    Exactness relies on three facts established in DESIGN.md §11: the
    restricted sweeps replay the full Gauss-Seidel sweeps verbatim (same
    job order, same horizon, same iteration cap), a remote trigger acts
-   on a component only through its (min_start, max_finish) summary, and
+   on a component only through its execution bounds there (its
+   (min_start, max_finish) summary, {!Wcrt.external_exec}), and
    divergence in any component diverges the whole state — so a state's
    row is [None] as soon as one component's is, and [Wcrt.assemble]
    applies the same rules as the full analysis. *)
@@ -492,21 +484,22 @@ let compute_sched t js =
   (* Trigger [v] of component [ci]: its own scenario there, and the
      external scenario of its summary in every other component. Every
      component's row is solved even when one diverges. *)
-  let scenario ci entry ti (v : Job.t) =
-    let nb = entry.ce_normal.Bounds.bounds.(v.Job.id) in
+  let trigger ci (v : Job.t) =
+    let nb = entries.(ci).ce_normal.Bounds.bounds in
+    let { Bounds.min_start; max_finish; _ } = nb.(v.Job.id) in
     glue
       (Array.mapi
          (fun cj other ->
-           if cj = ci then entry.ce_internal.(ti)
-           else
-             external_outcome t other
-               (nb.Bounds.min_start, nb.Bounds.max_finish))
+           scenario t other
+             (if cj = ci then Wcrt.scenario_exec ~base:t.base nb v
+              else
+                Wcrt.external_exec ~base:t.base ~min_start ~max_finish
+                  other.ce_normal.Bounds.bounds))
          entries) in
   let scenarios =
     Seq.concat
       (Seq.mapi
-         (fun ci entry ->
-           Seq.mapi (scenario ci entry) (Array.to_seq entry.ce_triggers))
+         (fun ci entry -> Seq.map (trigger ci) (Array.to_seq entry.ce_triggers))
          (Array.to_seq entries)) in
   Wcrt.assemble js.Jobset.happ
     ~normal:(glue (Array.map (fun e -> e.ce_normal_verdicts) entries))

@@ -15,9 +15,11 @@
     - components: Algorithm 1 analyses decomposed by processor-connected
       components and keyed by the restricted job structure, so a
       mutation only re-solves the components whose job multisets
-      changed; triggers in other components are summarised by their
-      (min_start, max_finish) pair and the matching scenarios are
-      memoised per component.
+      changed. Each component entry also memoises its trigger scenarios
+      (internal triggers, and remote ones summarised by their
+      (min_start, max_finish) pair) keyed by the fingerprint of the
+      scenario's per-job execution-bound vector, so triggers that bound
+      the component's jobs identically share one fixed-point run.
 
     Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
     for field, bit for bit on floats — which the [evaluator-agreement]
@@ -28,9 +30,10 @@
     decisions as labelled counters —
     [evaluator.result~{hit,miss,evict,collision}],
     [evaluator.rows~{hit,miss,evict}] and
-    [evaluator.component~{memo,resolve,evict}] — plus
-    [evaluator.external_scenarios] (external-trigger fixpoints solved)
-    and the spans [evaluator.eval] and [evaluator.eval_population]. *)
+    [evaluator.component~{memo,resolve,evict}] and
+    [evaluator.scenario~{hit,miss}] (a miss is one scenario fixed point
+    solved) — plus the spans [evaluator.eval] and
+    [evaluator.eval_population]. *)
 
 type t
 

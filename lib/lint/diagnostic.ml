@@ -109,6 +109,14 @@ let registry =
        cols) lies outside the declared mesh, so no XY route can reach \
        it. Reported per offending processor, alongside MC020 on the \
        mesh itself.";
+    reg "MC022" Error "analysis-budget-exceeded"
+      "The applications unroll into more task instances per \
+       hyperperiod (the sum over applications of tasks x hyperperiod / \
+       period) than the analysis budget of 1000000 allows, or the \
+       hyperperiod is past the MC013 limit. Every analysis builds one \
+       job per task instance, so such a system would exhaust memory \
+       instead of yielding a verdict. Harmonise or lengthen the \
+       periods.";
     (* MC1xx — plan consistency *)
     reg "MC100" Error "plan-syntax"
       "The plan file is not syntactically valid: malformed \

@@ -289,24 +289,50 @@ let check_app ctx (g : Ast.app) =
    make it overflow any practical simulation horizon. *)
 let hyperperiod_limit = 1_000_000_000_000
 
+(* Every analysis builds one job per task instance in the hyperperiod,
+   so their number bounds its memory and time. A system past this
+   budget (or past [hyperperiod_limit]) is an error: analysing it would
+   exhaust memory rather than yield a verdict. *)
+let instance_budget = 1_000_000
+
+let over_budget ctx (g : Ast.app) fmt =
+  emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC022"
+    ~fixit:"harmonise or lengthen the periods" fmt
+
 let check_hyperperiod ctx (apps : Ast.app list) =
-  let rec go acc = function
-    | [] -> ()
+  let apps = List.filter (fun (g : Ast.app) -> g.Ast.g_period.Ast.v > 0) apps in
+  let rec hyperperiod acc = function
+    | [] -> Some acc
     | (g : Ast.app) :: rest ->
       let p = g.Ast.g_period.Ast.v in
-      if p <= 0 then go acc rest
-      else begin
-        let gcd = Mathx.gcd acc p in
-        let factor = p / gcd in
-        if acc > hyperperiod_limit / factor then
-          emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC013"
-            ~fixit:"harmonise the periods (make them divide each other)"
-            "hyperperiod exceeds %d after including period %d of \
-             application %s"
-            hyperperiod_limit p (loc_value g.Ast.g_name)
-        else go (acc * factor) rest
-      end in
-  go 1 apps
+      let factor = p / Mathx.gcd acc p in
+      if acc > hyperperiod_limit / factor then begin
+        emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC013"
+          ~fixit:"harmonise the periods (make them divide each other)"
+          "hyperperiod exceeds %d after including period %d of \
+           application %s"
+          hyperperiod_limit p (loc_value g.Ast.g_name);
+        over_budget ctx g
+          "analysis budget exceeded: the hyperperiod is past %d after \
+           including period %d of application %s"
+          hyperperiod_limit p (loc_value g.Ast.g_name);
+        None
+      end
+      else hyperperiod (acc * factor) rest in
+  (* [h / p <= h <= hyperperiod_limit], so each product stays far from
+     overflow; the sum stops at the first application past the budget. *)
+  let rec instances h total = function
+    | [] -> ()
+    | (g : Ast.app) :: rest ->
+      let total =
+        total + (List.length g.Ast.g_tasks * (h / g.Ast.g_period.Ast.v)) in
+      if total > instance_budget then
+        over_budget ctx g
+          "analysis budget exceeded: %d task instances per hyperperiod %d \
+           after including application %s (budget %d)"
+          total h (loc_value g.Ast.g_name) instance_budget
+      else instances h total rest in
+  Option.iter (fun h -> instances h 0 apps) (hyperperiod 1 apps)
 
 let check_system_ast ctx (s : Ast.system) =
   check_arch ctx s.Ast.sys_arch;

@@ -464,10 +464,18 @@ let test_explore_records_metrics () =
    | Obs.Counter n ->
      check Alcotest.bool "evaluator result misses counted" true (n > 0)
    | _ -> Alcotest.fail "evaluator.result~miss is not a counter");
-  match metric "evaluator.component~resolve" with
-  | Obs.Counter n ->
-    check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
-  | _ -> Alcotest.fail "evaluator.component~resolve is not a counter"
+  (match metric "evaluator.component~resolve" with
+   | Obs.Counter n ->
+     check Alcotest.bool "evaluator sched analyses counted" true (n > 0)
+   | _ -> Alcotest.fail "evaluator.component~resolve is not a counter");
+  (* trigger scenarios repeat execution-bound vectors even in a run this
+     short, so the per-component scenario memo both solves and reuses *)
+  List.iter
+    (fun name ->
+      match metric name with
+      | Obs.Counter n -> check Alcotest.bool (name ^ " counted") true (n > 0)
+      | _ -> Alcotest.failf "%s is not a counter" name)
+    [ "evaluator.scenario~miss"; "evaluator.scenario~hit" ]
 
 let suite =
   [ Alcotest.test_case "histogram bucket boundaries" `Quick
