@@ -214,6 +214,19 @@ let resolve_problem ?(no_lint = false) bench_name system_file plan_file
              | Error e -> Error (plan_path ^ ": " ^ e)
              | Ok plan -> Ok (arch, apps, plan))))
 
+(* [resolve_problem], hardened and expanded into its job set. Without
+   the lint gate, a system past the analysis budget or a plan with
+   placement errors reaches [Jobset.build] / [Happ.build], which refuse
+   it with [Invalid_argument]: an input error like any other, not an
+   uncaught exception. *)
+let resolve_jobset ~no_lint bench_name system_file plan_file seed =
+  match resolve_problem ~no_lint bench_name system_file plan_file seed with
+  | Error _ as err -> err
+  | Ok (arch, apps, plan) ->
+    (match S.Jobset.build (H.Happ.build arch apps plan) with
+     | js -> Ok (arch, apps, plan, js)
+     | exception Invalid_argument e -> Error e)
+
 let list_cmd =
   let run () =
     List.iter
@@ -233,11 +246,9 @@ let list_cmd =
 let analyze_run bench_name system_file plan_file seed no_lint trace
     metrics flight =
   with_obs trace metrics flight @@ fun () ->
-  match resolve_problem ~no_lint bench_name system_file plan_file seed with
+  match resolve_jobset ~no_lint bench_name system_file plan_file seed with
   | Error e -> prerr_endline e; 1
-  | Ok (arch, apps, plan) ->
-    let happ = H.Happ.build arch apps plan in
-    let js = S.Jobset.build happ in
+  | Ok (arch, apps, plan, js) ->
     let ctx = S.Bounds.make js in
     let report = A.Wcrt.analyze ctx in
     let naive = A.Naive.analyze ctx in
@@ -265,11 +276,9 @@ let analyze_cmd =
 let simulate_run bench_name system_file plan_file seed no_lint profiles
     distribution trace metrics flight =
   with_obs trace metrics flight @@ fun () ->
-  match resolve_problem ~no_lint bench_name system_file plan_file seed with
+  match resolve_jobset ~no_lint bench_name system_file plan_file seed with
   | Error e -> prerr_endline e; 1
-  | Ok (arch, apps, plan) ->
-    let happ = H.Happ.build arch apps plan in
-    let js = S.Jobset.build happ in
+  | Ok (_, _, _, js) ->
     let adhoc = Sim.Adhoc.run js in
     let mc = Sim.Monte_carlo.run ~profiles ~seed js in
     Format.printf "%d Monte-Carlo profiles, %d entered the critical state@."
@@ -387,11 +396,9 @@ let explore_cmd =
 let gantt_run bench_name system_file plan_file seed no_lint bias trace
     metrics flight =
   with_obs trace metrics flight @@ fun () ->
-  match resolve_problem ~no_lint bench_name system_file plan_file seed with
+  match resolve_jobset ~no_lint bench_name system_file plan_file seed with
   | Error e -> prerr_endline e; 1
-  | Ok (arch, apps, plan) ->
-    let happ = H.Happ.build arch apps plan in
-    let js = S.Jobset.build happ in
+  | Ok (_, _, _, js) ->
     let show label profile =
       Format.printf "@.== %s ==@." label;
       let o = Sim.Engine.run js ~profile in

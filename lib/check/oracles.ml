@@ -718,13 +718,6 @@ let check_evaluator_agreement (sys : Gen.system) =
         let replay = Evaluator.eval session plan in
         if not (evaluations_equal replay fresh) then
           explain step replay fresh "cache-hit replay"
-        else if
-          Float.compare (Evaluator.power session plan)
-            (Evaluate.power_of_plan arch apps plan)
-          <> 0
-        then
-          failf "evaluator: step %d: session power differs from \
-                 power_of_plan" step
         else go (step + 1) (mutate_plan rng arch apps plan)
       end
     end in

@@ -74,21 +74,20 @@ let service_of_plan apps (plan : Plan.t) =
   !total
 
 (* Aggregate constraint violation for constraint-domination among
-   infeasible candidates. Shared between the free evaluation below and
-   the session path of [Evaluator], so both aggregate in the same
-   floating-point order and agree bit for bit. *)
-let violation_of ~deadlines required reliability_violations =
+   infeasible candidates. *)
+let violation_magnitude js report reliability_violations =
+  let happ = js.Jobset.happ in
   let sched = ref 0. in
   Array.iteri
     (fun g verdict ->
-      let deadline = deadlines.(g) in
+      let deadline = Happ.deadline (Happ.graph happ g) in
       match verdict with
       | Verdict.Unbounded -> sched := !sched +. 10.
       | Verdict.Finite w ->
         if w > deadline then
           sched :=
             !sched +. (float_of_int (w - deadline) /. float_of_int deadline))
-    required;
+    report.Wcrt.required_wcrt;
   let rel =
     List.fold_left
       (fun acc (v : Reliability.violation) ->
@@ -96,23 +95,15 @@ let violation_of ~deadlines required reliability_violations =
       0. reliability_violations in
   !sched +. rel
 
-let violation_magnitude js report reliability_violations =
-  let happ = js.Jobset.happ in
-  let deadlines =
-    Array.init (Happ.n_graphs happ) (fun g ->
-        Happ.deadline (Happ.graph happ g)) in
-  violation_of ~deadlines report.Wcrt.required_wcrt reliability_violations
-
-let schedulable_of_plan ?max_iterations arch apps plan =
+let schedulable_of_plan ~sched arch apps plan =
   let happ = Happ.build arch apps plan in
   let js = Jobset.build happ in
-  let ctx = Bounds.make js in
-  let report = Wcrt.analyze ?max_iterations ctx in
+  let report = sched js in
   (happ, js, report, Wcrt.schedulable js report)
 
-let evaluate ?(check_rescue = true) ?max_iterations arch apps plan =
+let evaluate_with ~check_rescue ~sched arch apps plan =
   let happ, js, report, schedulable =
-    schedulable_of_plan ?max_iterations arch apps plan in
+    schedulable_of_plan ~sched arch apps plan in
   let reliability_violations = Reliability.violations arch apps plan in
   let reliable = reliability_violations = [] in
   let power = power_of_happ arch happ in
@@ -129,8 +120,13 @@ let evaluate ?(check_rescue = true) ?max_iterations arch apps plan =
           ~decisions:(Array.map Array.copy plan.Plan.decisions)
           ~dropped:(Array.make (Appset.n_graphs apps) false) in
       let _, _, _, schedulable_without =
-        schedulable_of_plan ?max_iterations arch apps no_drop in
+        schedulable_of_plan ~sched arch apps no_drop in
       not schedulable_without
     end in
   { plan; power; service; schedulable; reliable; violation; rescued;
     objectives = [| power; -.service |] }
+
+let evaluate ?(check_rescue = true) ?max_iterations arch apps plan =
+  evaluate_with ~check_rescue
+    ~sched:(fun js -> Wcrt.analyze ?max_iterations (Bounds.make js))
+    arch apps plan

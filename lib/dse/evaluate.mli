@@ -28,36 +28,40 @@ type t = {
 val feasible : t -> bool
 
 val power_of_happ : Mcmap_model.Arch.t -> Mcmap_hardening.Happ.t -> float
-(** The power objective of an already-hardened application set — the
-    computation both {!power_of_plan} and the session-cached
-    [Evaluator.power] bottom out in, so their results are bit-identical. *)
+(** The power objective of an already-hardened application set — what
+    {!power_of_plan} and {!evaluate} compute it with, for callers that
+    have built the [Happ.t] anyway. *)
 
 val power_of_plan :
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   Mcmap_hardening.Plan.t ->
   float
-(** The power objective alone (no scheduling analysis).
-
-    Deprecated as an optimisation-loop entry point: it rebuilds the
-    hardened application set per call. Inside loops, create an
-    [Evaluator] session and use [Evaluator.power], which reuses cached
-    hardened graphs; this shim remains for one-shot callers. *)
+(** The power objective alone (no scheduling analysis): {!power_of_happ}
+    of [Happ.build arch apps plan]. *)
 
 val service_of_plan :
   Mcmap_model.Appset.t -> Mcmap_hardening.Plan.t -> float
 (** Quality of service delivered by the plan: summed [sv_t] of droppable
     graphs kept out of the dropped set. *)
 
-val violation_of :
-  deadlines:int array ->
-  Mcmap_analysis.Verdict.t array ->
-  Mcmap_reliability.Analysis.violation list ->
-  float
-(** [violation_of ~deadlines required rel_violations]: the aggregate
-    constraint-violation magnitude over per-graph required WCRT verdicts
-    and reliability violations. Exposed so the session evaluator
-    aggregates in exactly the same floating-point order as {!evaluate}. *)
+val evaluate_with :
+  check_rescue:bool ->
+  sched:(Mcmap_sched.Jobset.t -> Mcmap_analysis.Wcrt.report) ->
+  Mcmap_model.Arch.t ->
+  Mcmap_model.Appset.t ->
+  Mcmap_hardening.Plan.t ->
+  t
+(** The evaluation pipeline with its Algorithm 1 step supplied by the
+    caller: harden the plan ([Happ.build]), expand its job set, run
+    [sched] on it, check reliability, and aggregate objectives and
+    violation; with [check_rescue], [sched] also runs on the same plan
+    with an empty dropped set. {!evaluate} is the instance whose [sched]
+    analyses from scratch; an [Evaluator] session passes its memoised
+    scheduler, so the two agree exactly whenever the schedulers do.
+    @raise Invalid_argument if the plan has placement errors (the
+    [Happ.build] message) or its job set is past the
+    {!Mcmap_sched.Jobset.build} analysis budget. *)
 
 val evaluate :
   ?check_rescue:bool ->
@@ -69,7 +73,8 @@ val evaluate :
 (** Full evaluation. [check_rescue] (default true) additionally analyses
     the same plan with an empty dropped set to detect dropping-rescued
     candidates; pass [false] to halve analysis cost when the statistic is
-    not needed.
+    not needed. It is {!evaluate_with} with
+    [~sched:(fun js -> Wcrt.analyze ?max_iterations (Bounds.make js))].
 
     Deprecated as an optimisation-loop entry point: every call starts
     from nothing. Inside loops, create an [Evaluator] session once and

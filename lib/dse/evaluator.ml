@@ -1,11 +1,9 @@
 module Arch = Mcmap_model.Arch
 module Appset = Mcmap_model.Appset
 module Graph = Mcmap_model.Graph
-module Criticality = Mcmap_model.Criticality
 module Plan = Mcmap_hardening.Plan
 module Technique = Mcmap_hardening.Technique
 module Happ = Mcmap_hardening.Happ
-module Reliability = Mcmap_reliability.Analysis
 module Job = Mcmap_sched.Job
 module Jobset = Mcmap_sched.Jobset
 module Bounds = Mcmap_sched.Bounds
@@ -73,13 +71,6 @@ let fingerprint (plan : Plan.t) =
     (Fingerprint.int Fingerprint.empty (Array.length plan.Plan.dropped))
     !acc
 
-let row_fingerprint (plan : Plan.t) gi =
-  let fp = ref (Fingerprint.int Fingerprint.empty gi) in
-  Array.iteri
-    (fun ti d -> fp := decision_fp !fp ~graph:gi ~task:ti d)
-    plan.Plan.decisions.(gi);
-  !fp
-
 let decision_canonical_equal (a : Plan.decision) (b : Plan.decision) =
   a.Plan.technique = b.Plan.technique
   && a.Plan.primary_proc = b.Plan.primary_proc
@@ -113,10 +104,10 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
 (* Cross-domain sharing audit (the discipline [mcmap serve] and
    [eval_population] rely on):
 
-   - The three LRU tiers ([results], [components], [rows]), the
-     per-entry [ce_scenarios] tables and [last_ok] are mutated only
-     under [lock], which is held for the lookup or insert alone.
-   - Cached values ([Evaluate.t], [centry], [row]) are immutable once
+   - The two LRU tiers ([results], [components]), the per-entry
+     [ce_scenarios] tables and [last_ok] are mutated only under
+     [lock], which is held for the lookup or insert alone.
+   - Cached values ([Evaluate.t], [centry]) are immutable once
      published, so a value evicted while another domain still holds
      it stays valid — eviction only drops the cache's reference.
    - The analysis contexts inside [centry] are shared across domains
@@ -136,13 +127,6 @@ let canonical_equal (a : Plan.t) (b : Plan.t) =
      metrics from reader threads (see Mcmap_serve.Metrics). *)
 
 type engine = Wcrt.engine = Reference | Flat
-
-(* One decision row's plan-dependent images: its hardened graph and,
-   when the graph has a reliability bound, its failure rate. *)
-type row = {
-  hgraph : Happ.hgraph;
-  rate : float option;  (* [Some] exactly when [rel_bounds.(gi)] is *)
-}
 
 (* Memoised analysis of one processor-connected component: the restricted
    jobset's normal-state fixed point, its triggers, and a lazily-grown
@@ -165,15 +149,13 @@ type t = {
   apps : Appset.t;
   salt : Fingerprint.t;
       (* absorbs the architecture (interconnect + processor count) into
-         every plan/row cache key, so fingerprints from sessions over
+         every result cache key, so fingerprints from sessions over
          different backends can never alias *)
   engine : engine;
   check_rescue : bool;
   max_iterations : int;
   domains : int;
   n_graphs : int;
-  deadlines : int array;
-  rel_bounds : float option array;
   base : int;  (* application hyperperiod *)
   horizon : int;  (* full-jobset divergence horizon, plan-independent *)
   lock : Mutex.t;
@@ -185,7 +167,6 @@ type t = {
          serve] relies on (its pool keeps one lock per session). *)
   results : (Fingerprint.t, Evaluate.t) Lru.t;
   components : (Fingerprint.t, centry) Lru.t;
-  rows : (Fingerprint.t, row) Lru.t;
   mutable last_ok : bool option;
       (* previous eval's schedulable bit, for verdict-flip events *)
 }
@@ -211,12 +192,6 @@ let create ?(cache_capacity = 4096) ?(domains = 1) ?(engine = Flat)
   if cache_capacity < 0 then
     invalid_arg "Evaluator.create: negative cache capacity";
   let n_graphs = Appset.n_graphs apps in
-  let deadlines =
-    Array.init n_graphs (fun g -> (Appset.graph apps g).Graph.deadline) in
-  let rel_bounds =
-    Array.init n_graphs (fun g ->
-        Criticality.max_failure_rate (Appset.graph apps g).Graph.criticality)
-  in
   let salt =
     Mcmap_model.Interconnect.fingerprint
       (Fingerprint.int Fingerprint.empty (Arch.n_procs arch))
@@ -237,12 +212,10 @@ let create ?(cache_capacity = 4096) ?(domains = 1) ?(engine = Flat)
     done;
     (4 * base) + !max_deadline in
   { arch; apps; salt; engine; check_rescue; max_iterations; domains;
-    n_graphs; deadlines;
-    rel_bounds; base; horizon; lock = Mutex.create ();
+    n_graphs; base; horizon; lock = Mutex.create ();
     population_lock = Mutex.create ();
     results = Lru.create ~capacity:cache_capacity ();
     components = Lru.create ~capacity:component_capacity ();
-    rows = Lru.create ~capacity:(4 * (cache_capacity + 1)) ();
     last_ok = None }
 
 (* Cache-tier attribution: one labelled counter family per tier
@@ -281,51 +254,6 @@ let note_verdict t ok =
 let arch t = t.arch
 
 let apps t = t.apps
-
-(* ------------------------------------------------------------------ *)
-(* Row cache: hardened graph + reliability rate per decision row.      *)
-
-let row_for t plan gi =
-  let key = Fingerprint.combine t.salt (row_fingerprint plan gi) in
-  match with_lock t (fun () -> Lru.find t.rows key) with
-  | Some row ->
-    tier_hit "evaluator.rows";
-    row
-  | None ->
-    tier_miss "evaluator.rows";
-    let row =
-      { hgraph = Happ.hardened_graph t.arch t.apps plan gi;
-        rate =
-          Option.map
-            (fun _ ->
-              Reliability.graph_failure_rate t.arch t.apps plan ~graph:gi)
-            t.rel_bounds.(gi) } in
-    with_lock t (fun () -> tier_add "evaluator.rows" t.rows key row);
-    row
-
-let rows_of t plan =
-  (* Validate before touching per-row constructors, with the same error
-     as the fresh [Happ.build] path. *)
-  (match Plan.errors t.arch t.apps plan with
-   | [] -> ()
-   | msg :: _ -> invalid_arg ("Happ.build: " ^ msg));
-  Array.init t.n_graphs (fun gi -> row_for t plan gi)
-
-let happ_of t plan rows =
-  Happ.assemble t.arch t.apps plan (Array.map (fun r -> r.hgraph) rows)
-
-(* Same iteration order and float comparisons as
-   [Reliability.violations]; the cached rate is the identical double. *)
-let violations_of t rows =
-  let acc = ref [] in
-  for gi = t.n_graphs - 1 downto 0 do
-    match t.rel_bounds.(gi), rows.(gi).rate with
-    | Some bound, Some failure_rate ->
-      if failure_rate > bound then
-        acc := { Reliability.graph = gi; failure_rate; bound } :: !acc
-    | _ -> ()
-  done;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling: processor-component decomposition of Algorithm 1.       *)
@@ -508,40 +436,12 @@ let compute_sched t js =
 (* ------------------------------------------------------------------ *)
 (* Evaluation.                                                         *)
 
-let happ_of_plan t plan = happ_of t plan (rows_of t plan)
-
-let power t plan = Evaluate.power_of_happ t.arch (happ_of_plan t plan)
-
+(* The reference pipeline of [Evaluate.evaluate] with the memoised
+   scheduler swapped in: every other step is the same code, so the two
+   agree whenever [compute_sched] reproduces [Wcrt.analyze]. *)
 let eval_fresh t plan =
-  let rows = rows_of t plan in
-  let happ = happ_of t plan rows in
-  let js = Jobset.build happ in
-  let report = compute_sched t js in
-  let schedulable = Wcrt.schedulable js report in
-  let reliability_violations = violations_of t rows in
-  let reliable = reliability_violations = [] in
-  let power = Evaluate.power_of_happ t.arch happ in
-  let service = Evaluate.service_of_plan t.apps plan in
-  let violation =
-    if schedulable && reliable then 0.
-    else
-      Evaluate.violation_of ~deadlines:t.deadlines report.Wcrt.required_wcrt
-        reliability_violations in
-  let rescued =
-    if (not t.check_rescue) || not schedulable then false
-    else if Plan.dropped_graphs plan = [] then false
-    else begin
-      let no_drop =
-        Plan.make t.apps
-          ~decisions:(Array.map Array.copy plan.Plan.decisions)
-          ~dropped:(Array.make t.n_graphs false) in
-      (* [no_drop] shares every row with [plan], and every component
-         entry whose jobs the drop set leaves unchanged. *)
-      let js = Jobset.build (happ_of_plan t no_drop) in
-      not (Wcrt.schedulable js (compute_sched t js))
-    end in
-  { Evaluate.plan; power; service; schedulable; reliable; violation;
-    rescued; objectives = [| power; -.service |] }
+  Evaluate.evaluate_with ~check_rescue:t.check_rescue ~sched:(compute_sched t)
+    t.arch t.apps plan
 
 let find_cached t fp plan =
   with_lock t (fun () ->

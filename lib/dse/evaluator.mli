@@ -1,17 +1,14 @@
 (** Evaluator sessions: the handle-based analysis API of the design-space
     exploration (DESIGN.md §11).
 
-    A session [create arch apps] precomputes everything plan-independent
-    — deadlines, reliability bounds, the application hyperperiod and the
-    analysis horizon — and memoises everything plan-dependent in three
-    LRU tiers:
+    A session [create arch apps] precomputes what its analyses share —
+    the application hyperperiod and the analysis horizon — and memoises
+    in two LRU tiers:
 
     - results: full evaluations keyed by the canonical plan fingerprint
       (crossover/mutation duplicates, GA re-elites and warm [serve]
       repeats are near-free), guarded by structural plan equality
       against collisions;
-    - rows: each decision row's hardened graph and reliability rate,
-      so a mutation touching one graph rebuilds only that graph's image;
     - components: Algorithm 1 analyses decomposed by processor-connected
       components and keyed by the restricted job structure, so a
       mutation only re-solves the components whose job multisets
@@ -21,15 +18,16 @@
       scenario's per-job execution-bound vector, so triggers that bound
       the component's jobs identically share one fixed-point run.
 
-    Every cached path reproduces [Evaluate.evaluate] {e exactly} — field
-    for field, bit for bit on floats — which the [evaluator-agreement]
-    check oracle enforces; determinism of {!eval_population} for any
-    domain count follows.
+    A fresh evaluation is [Evaluate.evaluate_with] — the reference
+    pipeline — with the component-memoised scheduler in place of
+    [Wcrt.analyze]. Every cached path reproduces [Evaluate.evaluate]
+    {e exactly} — field for field, bit for bit on floats — which the
+    [evaluator-agreement] check oracle enforces; determinism of
+    {!eval_population} for any domain count follows.
 
     When {!Mcmap_obs.Obs} is enabled the session reports its cache
     decisions as labelled counters —
     [evaluator.result~{hit,miss,evict,collision}],
-    [evaluator.rows~{hit,miss,evict}] and
     [evaluator.component~{memo,resolve,evict}] and
     [evaluator.scenario~{hit,miss}] (a miss is one scenario fixed point
     solved) — plus the spans [evaluator.eval] and
@@ -52,9 +50,8 @@ val create :
   Mcmap_model.Arch.t ->
   Mcmap_model.Appset.t ->
   t
-(** [cache_capacity] (default 4096) bounds the result tier, and the row
-    tier at [4 * (cache_capacity + 1)] entries; 0 disables result
-    caching (every call analyses afresh — useful for measuring). The
+(** [cache_capacity] (default 4096) bounds the result tier; 0 disables
+    result caching (every call analyses afresh — useful for measuring). The
     component tier holds a fixed 64 entries, since each holds a job set
     and its analysis context. [domains] (default 1) parallelises
     {!eval_population}. [engine] (default {!Flat}) selects the
@@ -94,10 +91,6 @@ val eval_population :
     session's single population fan-out at a time); [mcmap serve]
     relies on exactly this discipline when several workers share a
     pooled session. *)
-
-val power : t -> Mcmap_hardening.Plan.t -> float
-(** The power objective through the session's cached hardened graphs;
-    bit-identical to [Evaluate.power_of_plan]. *)
 
 val fingerprint : Mcmap_hardening.Plan.t -> Mcmap_util.Fingerprint.t
 (** The canonical plan fingerprint: an order-independent hash over

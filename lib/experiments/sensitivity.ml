@@ -44,10 +44,6 @@ let k_sweep ?(benchmark = "cruise") ?(seed = 42) () =
   let arch = bench.B.Benchmark.arch and apps = bench.B.Benchmark.apps in
   let base = B.Sampler.balanced_plan ~seed arch apps in
   let criticals = Appset.critical_graphs apps in
-  (* The four sweep points differ only in the hardening of critical
-     tasks; a shared evaluator session reuses the hardened rows and
-     utilisations of everything else. *)
-  let session = Mcmap_dse.Evaluator.create arch apps in
   List.map
     (fun k ->
       let plan = with_uniform_k apps base k in
@@ -70,7 +66,7 @@ let k_sweep ?(benchmark = "cruise") ?(seed = 42) () =
           Mcmap_reliability.Analysis.violations arch apps plan = [];
         wcrt;
         schedulable = Wcrt.schedulable js report;
-        power = Mcmap_dse.Evaluator.power session plan })
+        power = Mcmap_dse.Evaluate.power_of_happ arch happ })
     [ 0; 1; 2; 3 ]
 
 let render_k_sweep rows =

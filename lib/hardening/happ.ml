@@ -228,28 +228,12 @@ let build_graph arch apps plan gi =
   { source_index = gi; source = g; tasks;
     channels = Array.of_list channels_list; preds; succs; topo }
 
-let validate arch apps plan =
-  match Plan.errors arch apps plan with
-  | [] -> ()
-  | msg :: _ -> invalid_arg ("Happ.build: " ^ msg)
-
 let build arch apps plan =
-  validate arch apps plan;
+  (match Plan.errors arch apps plan with
+   | [] -> ()
+   | msg :: _ -> invalid_arg ("Happ.build: " ^ msg));
   let graphs =
     Array.init (Appset.n_graphs apps) (build_graph arch apps plan) in
-  { arch; apps; plan; graphs }
-
-let hardened_graph = build_graph
-
-let assemble arch apps plan graphs =
-  validate arch apps plan;
-  if Array.length graphs <> Appset.n_graphs apps then
-    invalid_arg "Happ.assemble: one hardened graph per source graph";
-  Array.iteri
-    (fun gi hg ->
-      if hg.source_index <> gi then
-        invalid_arg "Happ.assemble: hardened graphs out of order")
-    graphs;
   { arch; apps; plan; graphs }
 
 let n_graphs t = Array.length t.graphs

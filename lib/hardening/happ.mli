@@ -66,27 +66,6 @@ val build : Mcmap_model.Arch.t -> Mcmap_model.Appset.t -> Plan.t -> t
     @raise Invalid_argument if the plan has placement errors
     (see {!Plan.errors}). *)
 
-val hardened_graph :
-  Mcmap_model.Arch.t -> Mcmap_model.Appset.t -> Plan.t -> int -> hgraph
-(** The hardened image of one source graph. The result depends only on
-    that graph's decision row (and the fixed architecture / application
-    set) — the invariant that lets the evaluator session cache hardened
-    graphs per row and reassemble whole sets with {!assemble}. Does not
-    validate the plan. *)
-
-val assemble :
-  Mcmap_model.Arch.t ->
-  Mcmap_model.Appset.t ->
-  Plan.t ->
-  hgraph array ->
-  t
-(** Reassemble a hardened application set from per-graph images built by
-    {!hardened_graph} (possibly cached from earlier plans with identical
-    decision rows). Validates the plan exactly like {!build}; the result
-    is indistinguishable from [build arch apps plan].
-    @raise Invalid_argument on placement errors or if [graphs] is not one
-    image per source graph in order. *)
-
 val n_graphs : t -> int
 
 val graph : t -> int -> hgraph

@@ -9,6 +9,7 @@ module Criticality = Mcmap_model.Criticality
 module Plan = Mcmap_hardening.Plan
 module Technique = Mcmap_hardening.Technique
 module Happ = Mcmap_hardening.Happ
+module Jobset = Mcmap_sched.Jobset
 module Fault_model = Mcmap_reliability.Fault_model
 module Analysis = Mcmap_reliability.Analysis
 module Ast = Mcmap_spec.Ast
@@ -286,15 +287,11 @@ let check_app ctx (g : Ast.app) =
   check_cycle ctx ~app ~pos:g.Ast.g_pos g.Ast.g_tasks g.Ast.g_channels
 
 (* The hyperperiod is the LCM of the periods; wildly co-prime periods
-   make it overflow any practical simulation horizon. *)
-let hyperperiod_limit = 1_000_000_000_000
-
-(* Every analysis builds one job per task instance in the hyperperiod,
-   so their number bounds its memory and time. A system past this
-   budget (or past [hyperperiod_limit]) is an error: analysing it would
-   exhaust memory rather than yield a verdict. *)
-let instance_budget = 1_000_000
-
+   make it overflow any practical simulation horizon. Every analysis
+   builds at least one job per source task instance in the hyperperiod,
+   so a system past [Jobset.instance_budget] (or past
+   [Jobset.hyperperiod_limit]) is an error: [Jobset.build] would refuse
+   it under any plan. *)
 let over_budget ctx (g : Ast.app) fmt =
   emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC022"
     ~fixit:"harmonise or lengthen the periods" fmt
@@ -306,31 +303,32 @@ let check_hyperperiod ctx (apps : Ast.app list) =
     | (g : Ast.app) :: rest ->
       let p = g.Ast.g_period.Ast.v in
       let factor = p / Mathx.gcd acc p in
-      if acc > hyperperiod_limit / factor then begin
+      if acc > Jobset.hyperperiod_limit / factor then begin
         emit ctx ~pos:g.Ast.g_period.Ast.pos ~code:"MC013"
           ~fixit:"harmonise the periods (make them divide each other)"
           "hyperperiod exceeds %d after including period %d of \
            application %s"
-          hyperperiod_limit p (loc_value g.Ast.g_name);
+          Jobset.hyperperiod_limit p (loc_value g.Ast.g_name);
         over_budget ctx g
           "analysis budget exceeded: the hyperperiod is past %d after \
            including period %d of application %s"
-          hyperperiod_limit p (loc_value g.Ast.g_name);
+          Jobset.hyperperiod_limit p (loc_value g.Ast.g_name);
         None
       end
       else hyperperiod (acc * factor) rest in
-  (* [h / p <= h <= hyperperiod_limit], so each product stays far from
-     overflow; the sum stops at the first application past the budget. *)
+  (* [h / p <= h <= Jobset.hyperperiod_limit], so each product stays far
+     from overflow; the sum stops at the first application past the
+     budget. *)
   let rec instances h total = function
     | [] -> ()
     | (g : Ast.app) :: rest ->
       let total =
         total + (List.length g.Ast.g_tasks * (h / g.Ast.g_period.Ast.v)) in
-      if total > instance_budget then
+      if total > Jobset.instance_budget then
         over_budget ctx g
           "analysis budget exceeded: %d task instances per hyperperiod %d \
            after including application %s (budget %d)"
-          total h (loc_value g.Ast.g_name) instance_budget
+          total h (loc_value g.Ast.g_name) Jobset.instance_budget
       else instances h total rest in
   Option.iter (fun h -> instances h 0 apps) (hyperperiod 1 apps)
 

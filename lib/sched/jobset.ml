@@ -12,11 +12,40 @@ type t = {
   topo : int array;
 }
 
+let hyperperiod_limit = 1_000_000_000_000
+
+let instance_budget = 1_000_000
+
+(* Refuse a horizon whose job set would exhaust memory rather than yield
+   a verdict. [horizon <= hyperperiod_limit] bounds every [horizon /
+   period], so the running count cannot overflow before it passes the
+   budget. *)
+let check_budget happ ~hyperperiods base_hyperperiod =
+  if base_hyperperiod > hyperperiod_limit / hyperperiods then
+    invalid_arg
+      (Printf.sprintf
+         "Jobset.build: analysis budget exceeded: horizon of %d x \
+          hyperperiod %d is past the limit %d"
+         hyperperiods base_hyperperiod hyperperiod_limit);
+  let horizon = hyperperiods * base_hyperperiod in
+  let jobs = ref 0 in
+  for gi = 0 to Happ.n_graphs happ - 1 do
+    let hg = Happ.graph happ gi in
+    jobs := !jobs + (Array.length hg.Happ.tasks * (horizon / Happ.period hg));
+    if !jobs > instance_budget then
+      invalid_arg
+        (Printf.sprintf
+           "Jobset.build: analysis budget exceeded: more than %d jobs over \
+            horizon %d"
+           instance_budget horizon)
+  done
+
 let build ?priority_order ?(hyperperiods = 1) happ =
   if hyperperiods < 1 then invalid_arg "Jobset.build: hyperperiods < 1";
   let apps = happ.Happ.apps in
   let arch = happ.Happ.arch in
   let base_hyperperiod = Mcmap_model.Appset.hyperperiod apps in
+  check_budget happ ~hyperperiods base_hyperperiod;
   let hyperperiod = hyperperiods * base_hyperperiod in
   let prio = Priority.assign ?order:priority_order happ in
   let jobs = ref [] in

@@ -20,6 +20,16 @@ type t = private {
   topo : int array;  (** topological order of job ids *)
 }
 
+val hyperperiod_limit : int
+(** The longest analysable horizon, [10{^12}] time units. *)
+
+val instance_budget : int
+(** The most jobs one job set may hold, [10{^6}]: every analysis and
+    simulation allocates per job, so this count bounds their memory and
+    time. Lint rule MC022 flags a system whose source task instances per
+    hyperperiod (a lower bound on its jobs under any plan) are already
+    past it, or whose hyperperiod is past {!hyperperiod_limit}. *)
+
 val build :
   ?priority_order:Priority.order ->
   ?hyperperiods:int ->
@@ -31,7 +41,12 @@ val build :
     at hyperperiod boundaries be observed. Priorities come from
     {!Priority.assign} (default {!Priority.Rate_monotonic}; pass
     {!Priority.Criticality_first} for the ablation order); precedences
-    carry {!Mcmap_model.Arch.comm_delay} costs. *)
+    carry {!Mcmap_model.Arch.comm_delay} costs.
+    @raise Invalid_argument naming the analysis budget, before any job
+    is allocated, if the horizon is past {!hyperperiod_limit} or the
+    hardened tasks would instantiate more than {!instance_budget} jobs;
+    also if [hyperperiods < 1], or if the application hyperperiod
+    overflows ({!Mcmap_util.Mathx.lcm}). *)
 
 val restrict : t -> graphs:int array -> t
 (** The sub-jobset of the given source graphs, with job ids renumbered

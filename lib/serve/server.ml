@@ -230,7 +230,7 @@ let process t job =
      Metrics.incr ~label:kind t.metrics "serve.served";
      let body =
        Obs.with_span ("serve." ^ kind) (fun () ->
-           Obs.incr ~label:kind "serve.request";
+           Obs.incr ~label:kind "serve.served";
            try work t ~no_lint:job.req.Protocol.no_lint job.req.Protocol.body
            with e ->
              Protocol.Error_response

@@ -2,7 +2,13 @@ let rec gcd a b =
   assert (a >= 0 && b >= 0);
   if b = 0 then a else gcd b (a mod b)
 
-let lcm a b = if a = 0 || b = 0 then 0 else a / gcd a b * b
+let lcm a b =
+  if a = 0 || b = 0 then 0
+  else begin
+    let q = a / gcd a b in
+    if q > max_int / b then invalid_arg "Mathx.lcm: overflow";
+    q * b
+  end
 
 let lcm_list l = List.fold_left lcm 1 l
 

@@ -5,10 +5,13 @@ val gcd : int -> int -> int
     non-negative. *)
 
 val lcm : int -> int -> int
-(** Least common multiple; [lcm x 0 = 0]. *)
+(** Least common multiple; [lcm x 0 = 0]. Arguments must be
+    non-negative.
+    @raise Invalid_argument if the result exceeds [max_int]. *)
 
 val lcm_list : int list -> int
-(** LCM of a list; [lcm_list \[\] = 1]. Used for hyperperiods. *)
+(** LCM of a list; [lcm_list \[\] = 1]. Used for hyperperiods.
+    @raise Invalid_argument on overflow, like {!lcm}. *)
 
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is [ceil (a / b)] for positive [b] and non-negative

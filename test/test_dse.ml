@@ -569,17 +569,27 @@ let test_evaluator_divergent_component () =
       check_evaluation_equal "session = fresh" e fresh)
     [ Evaluator.Flat; Evaluator.Reference ]
 
-let test_evaluator_power_matches () =
+(* An invalid plan must fail the session exactly as it fails the free
+   evaluation: both go through [Happ.build], which names the first
+   placement error. *)
+let test_evaluator_invalid_plan () =
   let sys = Test_gen.random_system 33 in
   let arch = sys.Test_gen.arch and apps = sys.Test_gen.apps in
-  let session = Evaluator.create arch apps in
-  Array.iter
-    (fun plan ->
-      check Alcotest.bool "session power = power_of_plan" true
-        (Float.compare (Evaluator.power session plan)
-           (Evaluate.power_of_plan arch apps plan)
-        = 0))
-    (sample_plans arch apps 4)
+  let plan = (sample_plans arch apps 1).(0) in
+  let d = plan.Plan.decisions.(0).(0) in
+  let bad =
+    Plan.with_decision plan ~graph:0 ~task:0
+      { d with Plan.primary_proc = Arch.n_procs arch } in
+  let message f =
+    match f () with
+    | (_ : Evaluate.t) -> Alcotest.fail "invalid plan evaluated"
+    | exception Invalid_argument m -> m in
+  let fresh = message (fun () -> Evaluate.evaluate arch apps bad) in
+  let session =
+    message (fun () -> Evaluator.eval (Evaluator.create arch apps) bad) in
+  check Alcotest.bool "names Happ.build" true
+    (String.starts_with ~prefix:"Happ.build: " fresh);
+  check Alcotest.string "session = fresh" fresh session
 
 let test_eval_population_deterministic () =
   let sys = Test_gen.random_system 34 in
@@ -652,7 +662,7 @@ let suite =
       test_evaluator_divergent_component;
     Alcotest.test_case "evaluator: rescue re-check matches fresh" `Quick
       test_evaluator_rescue_path;
-    Alcotest.test_case "evaluator: power shim" `Quick
-      test_evaluator_power_matches;
+    Alcotest.test_case "evaluator: invalid plan fails like fresh" `Quick
+      test_evaluator_invalid_plan;
     Alcotest.test_case "evaluator: population determinism" `Quick
       test_eval_population_deterministic ]

@@ -18,6 +18,11 @@ module D = Mcmap_dse
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
+  n = 0 || at 0
+
 (* ------------------------------------------------------------------ *)
 (* Wire framing *)
 
@@ -608,6 +613,35 @@ let test_serve_oversized_frame () =
   | { P.r_body = P.Pong; _ } -> ()
   | _ -> Alcotest.fail "connection unusable after oversized frame"
 
+(* With the lint gate skipped, a system past the analysis budget reaches
+   [Jobset.build] on a worker domain: the request must come back as an
+   error naming the budget, and the daemon must stay up. *)
+let test_serve_no_lint_over_budget () =
+  let forms =
+    let ic = open_in_bin "lint/MC013.mcmap" in
+    let text =
+      Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+          really_input_string ic (in_channel_length ic)) in
+    match Sexp.parse text with
+    | Ok forms -> forms
+    | Error e -> Alcotest.failf "MC013 forms: %s" e
+  in
+  let addr, _path, server = start_server (fun c -> c) in
+  Fun.protect ~finally:(fun () -> shutdown_server addr server)
+  @@ fun () ->
+  let c = connect_exn addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let req =
+    request c ~no_lint:true (P.Analyze { system = forms; plan = None }) in
+  (match call_exn c req with
+   | { P.r_body = P.Error_response msg; _ } ->
+     check Alcotest.bool "error names the budget" true
+       (contains ~affix:"analysis budget" msg)
+   | _ -> Alcotest.fail "expected Error_response");
+  match call_exn c (request c P.Ping) with
+  | { P.r_body = P.Pong; _ } -> ()
+  | _ -> Alcotest.fail "daemon unusable after an over-budget request"
+
 let test_serve_stats_over_protocol () =
   let addr, _path, server = start_server (fun c -> c) in
   Fun.protect ~finally:(fun () -> shutdown_server addr server)
@@ -661,5 +695,7 @@ let suite =
       test_serve_deadline_expired;
     Alcotest.test_case "serve backpressure: oversized frame" `Quick
       test_serve_oversized_frame;
+    Alcotest.test_case "serve (no-lint) analyze past the budget" `Quick
+      test_serve_no_lint_over_budget;
     Alcotest.test_case "serve stats over the protocol" `Quick
       test_serve_stats_over_protocol ]

@@ -161,6 +161,17 @@ let test_gcd_lcm () =
   check Alcotest.int "lcm_list" 60 (Mathx.lcm_list [ 4; 6; 10 ]);
   check Alcotest.int "lcm_list empty" 1 (Mathx.lcm_list [])
 
+let test_lcm_overflow () =
+  (* (2^31 - 1)(2^31 + 1) = max_int: the largest lcm is exact, one
+     factor of 2 past it must raise rather than wrap into a negative
+     hyperperiod *)
+  check Alcotest.int "lcm at max_int" max_int
+    (Mathx.lcm ((1 lsl 31) - 1) ((1 lsl 31) + 1));
+  check Alcotest.bool "lcm overflow raises" true
+    (match Mathx.lcm_list [ (1 lsl 31) - 1; (1 lsl 31) + 1; 2 ] with
+     | (_ : int) -> false
+     | exception Invalid_argument _ -> true)
+
 let prop_gcd_divides =
   QCheck.Test.make ~name:"gcd divides both" ~count:300
     QCheck.(pair (int_range 0 10000) (int_range 1 10000))
@@ -855,6 +866,7 @@ let suite =
     qtest prop_float_bounds;
     qtest prop_shuffle_permutation;
     Alcotest.test_case "mathx: gcd/lcm" `Quick test_gcd_lcm;
+    Alcotest.test_case "mathx: lcm overflow raises" `Quick test_lcm_overflow;
     Alcotest.test_case "mathx: ceil_div" `Quick test_ceil_div;
     Alcotest.test_case "mathx: clamp" `Quick test_clamp;
     Alcotest.test_case "mathx: sums" `Quick test_sums;
